@@ -247,12 +247,13 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
+            // Packed once, sent to every worker.
+            const net::Payload cb = net::pack_matrix(blk(u, t).view());
+            const net::Payload db = net::pack_matrix(blk(v, t).view());
             for (int r = 0; r < p; ++r) {
               if (r == panel) continue;
-              net::send_matrix(comm, r, make_tag(Chan::CBlock, t, served),
-                               blk(u, t).view());
-              net::send_matrix(comm, r, make_tag(Chan::DBlock, t, served),
-                               blk(v, t).view());
+              comm.send_payload(r, make_tag(Chan::CBlock, t, served), cb);
+              comm.send_payload(r, make_tag(Chan::DBlock, t, served), db);
             }
           }
         };
@@ -271,10 +272,10 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         const long long cw = c1 - c0;
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c = net::recv_matrix(comm, panel,
-                                      make_tag(Chan::CBlock, t, j));
-          Matrix d = net::recv_matrix(comm, panel,
-                                      make_tag(Chan::DBlock, t, j));
+          const net::MatrixMsg c =
+              net::recv_matrix_view(comm, panel, make_tag(Chan::CBlock, t, j));
+          const net::MatrixMsg d =
+              net::recv_matrix_view(comm, panel, make_tag(Chan::DBlock, t, j));
           Matrix e(b, cw);
           // E[:, c0:c1) = C * D[c0:c1, :]^T — the worker's column share.
           auto dshare = d.block(c0, 0, cw, b);
@@ -330,7 +331,8 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
           if (r == panel || r == me) continue;
           const int widx = r < panel ? r : r - 1;
           const auto [c0, c1] = worker_columns(b, workers, widx);
-          Matrix e = net::recv_matrix(comm, r, make_tag(Chan::EShare, t, j));
+          const net::MatrixMsg e =
+              net::recv_matrix_view(comm, r, make_tag(Chan::EShare, t, j));
           linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");

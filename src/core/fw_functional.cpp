@@ -250,6 +250,19 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       tasks.clear();
     };
 
+    // Owner-side broadcast of one packed block: the same payload goes to
+    // every peer, over the NIC under lookahead, else on the CPU.
+    auto fan_out = [&](int tag, const net::Payload& packed) {
+      for (int r = 0; r < p; ++r) {
+        if (r == comm.rank()) continue;
+        if (cfg.lookahead) {
+          comm.isend_payload(r, tag, packed);
+        } else {
+          comm.send_payload(r, tag, packed);
+        }
+      }
+    };
+
     // Lookahead: the receive for iteration t+1's D_tt is posted while
     // iteration t's waves still compute, so the next pivot block streams in
     // behind the current trailing update.
@@ -258,8 +271,9 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
     for (long long t = 0; t < nb; ++t) {
       const int owner = static_cast<int>(t / cols_per_rank);
 
-      // Phase 0: op1 on the owner, then broadcast of D_tt.
-      Matrix dtt;
+      // Phase 0: op1 on the owner, then broadcast of D_tt. Every rank,
+      // the owner included, reads D_tt from the one packed payload.
+      net::MatrixMsg dtt;
       if (me == owner) {
         {
           obs::PhaseSpan phase("fw", "op1");
@@ -278,22 +292,16 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
             node.cpu_compute(node::CpuKernel::FwBlock, task_flops, "op1");
           }
         }
-        dtt = Matrix::from_view(lblk(t, t));
-        for (int r = 0; r < p; ++r) {
-          if (r == owner) continue;
-          if (cfg.lookahead) {
-            // NIC fan-out: the owner's CPU pays setup only and moves on to
-            // its op21/op22 wave while the RapidArray engines serialize.
-            net::isend_matrix(comm, r, make_tag(Chan::Dtt, t, 0), dtt.view());
-          } else {
-            net::send_matrix(comm, r, make_tag(Chan::Dtt, t, 0), dtt.view());
-          }
-        }
+        dtt = net::MatrixMsg(net::pack_matrix(lblk(t, t)));
+        // NIC fan-out under lookahead: the owner's CPU pays setup only and
+        // moves on to its op21/op22 wave while the RapidArray engines
+        // serialize.
+        fan_out(make_tag(Chan::Dtt, t, 0), dtt.payload());
       } else if (cfg.lookahead && dtt_req.valid()) {
-        dtt = net::wait_matrix(dtt_req);
+        dtt = net::wait_matrix_view(dtt_req);
       } else {
-        dtt = net::recv_matrix(comm, owner, make_tag(Chan::Dtt, t, 0),
-                               "op21");
+        dtt = net::recv_matrix_view(comm, owner, make_tag(Chan::Dtt, t, 0),
+                                    "op21");
       }
       // Prefetch the next iteration's pivot diagonal: posting is free, and
       // by the time this iteration's waves finish the block is usually
@@ -333,28 +341,24 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         dqt_req = comm.irecv(owner, make_tag(Chan::Op22, t, 0), "op3");
       }
       run_wave(tasks);
+      // The owner's latest op22 block, packed once: broadcast to every
+      // peer and read in place as the owner's own pivot block of the next
+      // wave (the block is not written again this iteration).
+      net::MatrixMsg op22;
       if (me == owner && !q_list.empty()) {
-        for (int r = 0; r < p; ++r) {
-          if (r == owner) continue;
-          if (cfg.lookahead) {
-            net::isend_matrix(comm, r, make_tag(Chan::Op22, t, 0),
-                              lblk(q_list.front(), t));
-          } else {
-            net::send_matrix(comm, r, make_tag(Chan::Op22, t, 0),
-                             lblk(q_list.front(), t));
-          }
-        }
+        op22 = net::MatrixMsg(net::pack_matrix(lblk(q_list.front(), t)));
+        fan_out(make_tag(Chan::Op22, t, 0), op22.payload());
       }
 
       // Waves 1..nb-1: op3 on row q_w; the owner folds the next op22 into
       // its wave and broadcasts it afterwards.
       for (std::size_t w = 0; w < q_list.size(); ++w) {
         const long long q = q_list[w];
-        Matrix dqt;
+        net::MatrixMsg dqt;
         if (me == owner) {
-          dqt = Matrix::from_view(lblk(q, t));
+          dqt = std::move(op22);
         } else if (cfg.lookahead) {
-          dqt = net::wait_matrix(dqt_req);
+          dqt = net::wait_matrix_view(dqt_req);
           // Double-buffer: wave w+1's pivot block transfers while wave w's
           // op3 tasks compute below.
           if (w + 1 < q_list.size()) {
@@ -364,10 +368,10 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                                  "op3");
           }
         } else {
-          dqt = net::recv_matrix(comm, owner,
-                                 make_tag(Chan::Op22, t,
-                                          static_cast<long long>(w)),
-                                 "op3");
+          dqt = net::recv_matrix_view(comm, owner,
+                                      make_tag(Chan::Op22, t,
+                                               static_cast<long long>(w)),
+                                      "op3");
         }
         if (me == owner && w + 1 < q_list.size()) {
           const long long qn = q_list[w + 1];
@@ -382,20 +386,9 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         }
         run_wave(tasks);
         if (me == owner && w + 1 < q_list.size()) {
-          for (int r = 0; r < p; ++r) {
-            if (r == owner) continue;
-            if (cfg.lookahead) {
-              net::isend_matrix(comm, r,
-                                make_tag(Chan::Op22, t,
-                                         static_cast<long long>(w + 1)),
-                                lblk(q_list[w + 1], t));
-            } else {
-              net::send_matrix(comm, r,
-                               make_tag(Chan::Op22, t,
-                                        static_cast<long long>(w + 1)),
-                               lblk(q_list[w + 1], t));
-            }
-          }
+          op22 = net::MatrixMsg(net::pack_matrix(lblk(q_list[w + 1], t)));
+          fan_out(make_tag(Chan::Op22, t, static_cast<long long>(w + 1)),
+                  op22.payload());
         }
       }
       // The barrier only serializes the blocking schedule; under lookahead

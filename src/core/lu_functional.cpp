@@ -283,9 +283,10 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                         static_cast<double>(b);
       // Straggler-recovery stash: a worker that owns blocks this iteration
       // keeps the full C/D stripes of its owned tasks (keyed by task index)
-      // so a late peer's E share can be re-solved locally. The panel rank
-      // owns the stripes outright and needs no stash.
-      std::map<long long, std::pair<Matrix, Matrix>> stash;
+      // so a late peer's E share can be re-solved locally. The stash holds
+      // the received payloads, not copies. The panel rank owns the stripes
+      // outright and needs no stash.
+      std::map<long long, std::pair<net::MatrixMsg, net::MatrixMsg>> stash;
 
       if (me == panel) {
         // --- Panel pipeline: opLU, then opL/opU pairs, serving stripe data
@@ -303,21 +304,23 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         // The lookahead pipeline always uses the DMA engines — hiding the
         // stripe transfers is its whole point.
         const bool dma = cfg.fanout == SendFanout::PaperSingle || cfg.lookahead;
+        // Each stripe is packed once; every worker receives the same
+        // payload (the wire is still charged per destination).
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
+            const net::Payload cs = net::pack_matrix(blk(u, t).view());
+            const net::Payload ds = net::pack_matrix(blk(t, v).view());
+            const int c_tag = make_tag(Chan::CStripe, t, served);
+            const int d_tag = make_tag(Chan::DStripe, t, served);
             for (int r = 0; r < p; ++r) {
               if (r == panel) continue;
               if (dma) {
-                net::isend_matrix(comm, r, make_tag(Chan::CStripe, t, served),
-                                  blk(u, t).view());
-                net::isend_matrix(comm, r, make_tag(Chan::DStripe, t, served),
-                                  blk(t, v).view());
+                comm.isend_payload(r, c_tag, cs);
+                comm.isend_payload(r, d_tag, ds);
               } else {
-                net::send_matrix(comm, r, make_tag(Chan::CStripe, t, served),
-                                 blk(u, t).view());
-                net::send_matrix(comm, r, make_tag(Chan::DStripe, t, served),
-                                 blk(t, v).view());
+                comm.send_payload(r, c_tag, cs);
+                comm.send_payload(r, d_tag, ds);
               }
             }
           }
@@ -357,10 +360,10 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         }
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c, d;
+          net::MatrixMsg c, d;
           if (cfg.lookahead) {
-            c = net::wait_matrix(c_req);
-            d = net::wait_matrix(d_req);
+            c = net::wait_matrix_view(c_req);
+            d = net::wait_matrix_view(d_req);
             if (j + 1 < total) {
               c_req =
                   comm.irecv(panel, make_tag(Chan::CStripe, t, j + 1), "opMM");
@@ -368,10 +371,10 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                   comm.irecv(panel, make_tag(Chan::DStripe, t, j + 1), "opMM");
             }
           } else {
-            c = net::recv_matrix(comm, panel, make_tag(Chan::CStripe, t, j),
-                                 "opMM");
-            d = net::recv_matrix(comm, panel, make_tag(Chan::DStripe, t, j),
-                                 "opMM");
+            c = net::recv_matrix_view(comm, panel,
+                                      make_tag(Chan::CStripe, t, j), "opMM");
+            d = net::recv_matrix_view(comm, panel,
+                                      make_tag(Chan::DStripe, t, j), "opMM");
           }
           Matrix e(b, cw);
           auto dshare = d.block(0, c0, b, cw);
@@ -508,21 +511,22 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
       }
       for (EShare& s : shares) {
         const auto [u, v] = order[static_cast<std::size_t>(s.j)];
-        Matrix e;
+        net::MatrixMsg e;
         bool late = false;
         if (straggler_s > 0.0) {
           e = cfg.lookahead
-                  ? net::wait_matrix_deadline(s.req, straggler_s, &late)
-                  : net::recv_matrix_deadline(
+                  ? net::wait_matrix_view_deadline(s.req, straggler_s, &late)
+                  : net::recv_matrix_view_deadline(
                         comm, s.r, make_tag(Chan::EShare, t, s.j),
                         straggler_s, &late, "opMS");
         } else {
           e = cfg.lookahead
-                  ? net::wait_matrix(s.req)
-                  : net::recv_matrix(
-                        comm, s.r, make_tag(Chan::EShare, t, s.j),
-                        "opMS");
+                  ? net::wait_matrix_view(s.req)
+                  : net::recv_matrix_view(
+                        comm, s.r, make_tag(Chan::EShare, t, s.j), "opMS");
         }
+        Span2D<const double> share = e.view();
+        Matrix resolved;  // the locally re-solved share of a late peer
         if (late) {
           // Graceful degradation: the peer's share missed the deadline.
           // Re-solve its columns locally from the stashed (or owned) full
@@ -530,18 +534,18 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           // sent, so the factors don't move.
           obs::PhaseSpan phase("lu", "straggler");
           const sim::SimTime repair_start = comm.clock().now();
-          const Matrix* cm = nullptr;
-          const Matrix* dm = nullptr;
+          Span2D<const double> cm, dm;
           if (me == panel) {
-            cm = &blk(u, t);
-            dm = &blk(t, v);
+            cm = blk(u, t).view();
+            dm = blk(t, v).view();
           } else {
             const auto& pr = stash.at(s.j);
-            cm = &pr.first;
-            dm = &pr.second;
+            cm = pr.first.view();
+            dm = pr.second.view();
           }
-          e = recompute_share(mm, cm->view(), dm->view(), s.c0, s.c1, b_f,
-                              use_soft_fp);
+          resolved =
+              recompute_share(mm, cm, dm, s.c0, s.c1, b_f, use_soft_fp);
+          share = resolved.view();
           node.cpu_compute(
               node::CpuKernel::Dgemm,
               2.0 * static_cast<double>(b * b * (s.c1 - s.c0)),
@@ -553,8 +557,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           sim::note_fault_recovered(mttr);
         }
         obs::PhaseSpan phase("lu", "opMS");
-        linalg::matrix_sub(blk(u, v).block(0, s.c0, b, s.c1 - s.c0),
-                           e.view());
+        linalg::matrix_sub(blk(u, v).block(0, s.c0, b, s.c1 - s.c0), share);
         node.cpu_compute(node::CpuKernel::MemBound,
                          static_cast<double>(b * (s.c1 - s.c0)), "opMS");
       }

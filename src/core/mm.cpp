@@ -228,17 +228,20 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
       for (long long u = 0; u < nb; ++u) {
         for (long long v = 0; v < nb; ++v, ++task) {
           for (long long w = 0; w < nb; ++w) {
+            // Packed once, sent to every worker.
+            const net::Payload ab =
+                net::pack_matrix(a.block(u * b, w * b, b, b));
+            const net::Payload bb =
+                net::pack_matrix(bmat.block(w * b, v * b, b, b));
             for (int r = 1; r < p; ++r) {
-              net::send_matrix(comm, r, make_tag(Chan::ABlock, task, w),
-                               a.block(u * b, w * b, b, b));
-              net::send_matrix(comm, r, make_tag(Chan::BBlock, task, w),
-                               bmat.block(w * b, v * b, b, b));
+              comm.send_payload(r, make_tag(Chan::ABlock, task, w), ab);
+              comm.send_payload(r, make_tag(Chan::BBlock, task, w), bb);
             }
           }
           for (int r = 1; r < p; ++r) {
             const auto [c0, c1] = worker_columns(b, workers, r - 1);
-            Matrix share =
-                net::recv_matrix(comm, r, make_tag(Chan::CShare, task, 0));
+            const net::MatrixMsg share =
+                net::recv_matrix_view(comm, r, make_tag(Chan::CShare, task, 0));
             linalg::copy(share.view(),
                          c.block(u * b, v * b + c0, b, c1 - c0));
             node.cpu_compute(node::CpuKernel::MemBound,
@@ -254,10 +257,10 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
         for (long long v = 0; v < nb; ++v, ++task) {
           Matrix e(b, cw);  // running share, lives in on-board SRAM
           for (long long w = 0; w < nb; ++w) {
-            Matrix ablk =
-                net::recv_matrix(comm, 0, make_tag(Chan::ABlock, task, w));
-            Matrix bblk =
-                net::recv_matrix(comm, 0, make_tag(Chan::BBlock, task, w));
+            const net::MatrixMsg ablk =
+                net::recv_matrix_view(comm, 0, make_tag(Chan::ABlock, task, w));
+            const net::MatrixMsg bblk =
+                net::recv_matrix_view(comm, 0, make_tag(Chan::BBlock, task, w));
             auto bshare = bblk.block(0, c0, b, cw);
             for (long long s = 0; s < b; s += k) {
               const long long ks = std::min(k, b - s);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 #include <string>
 #include <thread>
@@ -17,6 +18,7 @@ namespace {
 struct NetMetrics {
   obs::Counter& msgs;
   obs::Counter& bytes;
+  obs::Counter& copied;
   obs::Counter& bcasts;
   obs::Counter& barriers;
   obs::Counter& allgathers;
@@ -26,6 +28,7 @@ struct NetMetrics {
     auto& reg = obs::Registry::global();
     static NetMetrics m{reg.counter("net.msgs_sent"),
                         reg.counter("net.bytes_sent"),
+                        reg.counter("net.bytes_copied"),
                         reg.counter("net.collectives.bcast"),
                         reg.counter("net.collectives.barrier"),
                         reg.counter("net.collectives.allgather"),
@@ -35,6 +38,15 @@ struct NetMetrics {
 };
 
 }  // namespace
+
+void note_bytes_copied(std::uint64_t bytes) {
+  if (obs::metrics_enabled()) NetMetrics::get().copied.add(bytes);
+}
+
+Payload Payload::copy_of(const void* data, std::size_t bytes) {
+  note_bytes_copied(bytes);
+  return build(bytes, [&](std::byte* out) { std::memcpy(out, data, bytes); });
+}
 
 int Comm::size() const { return world_->size(); }
 
@@ -131,18 +143,18 @@ sim::LinkCost Comm::wire_cost(int dst, std::uint64_t bytes) {
   return cost;
 }
 
-void Comm::send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
+void Comm::send_payload(int dst, int tag, Payload payload) {
   RCS_CHECK_MSG(dst >= 0 && dst < world_->size(), "send to bad rank " << dst);
   RCS_CHECK_MSG(dst != rank_, "send to self (rank " << rank_ << ")");
   RCS_CHECK_MSG(tag >= 0,
                 "send with reserved tag " << tag << " (user tags must be >= 0)");
-  send_bytes_any_tag(dst, tag, data, bytes);
+  send_any_tag(dst, tag, std::move(payload));
 }
 
-void Comm::send_bytes_any_tag(int dst, int tag, const void* data,
-                              std::size_t bytes) {
+void Comm::send_any_tag(int dst, int tag, Payload payload) {
   check_crash();
   obs::ScopedTimer span("send", "net");
+  const std::uint64_t bytes = payload.size();
   note_send_metrics(bytes);
   // §4.3: the processor drives MPI, so the CPU is busy for the whole
   // serialization; arrival coincides with send completion.
@@ -159,19 +171,18 @@ void Comm::send_bytes_any_tag(int dst, int tag, const void* data,
   msg.tag = tag;
   msg.depart = depart;
   msg.arrival = clock_.now();
-  msg.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
+  msg.payload = std::move(payload);
   world_->deliver(dst, std::move(msg));
 }
 
-void Comm::isend_bytes(int dst, int tag, const void* data,
-                       std::size_t bytes) {
+void Comm::isend_payload(int dst, int tag, Payload payload) {
   RCS_CHECK_MSG(dst >= 0 && dst < world_->size(), "isend to bad rank " << dst);
   RCS_CHECK_MSG(dst != rank_, "isend to self (rank " << rank_ << ")");
   RCS_CHECK_MSG(
       tag >= 0, "isend with reserved tag " << tag << " (user tags must be >= 0)");
   check_crash();
   obs::ScopedTimer span("isend", "net");
+  const std::uint64_t bytes = payload.size();
   note_send_metrics(bytes);
   // CPU pays only the DMA setup; the NIC serializes the transfer.
   const sim::LinkCost cost = wire_cost(dst, bytes);
@@ -189,13 +200,11 @@ void Comm::isend_bytes(int dst, int tag, const void* data,
   msg.tag = tag;
   msg.depart = start;
   msg.arrival = nic_busy_until_;
-  msg.payload.resize(bytes);
-  if (bytes > 0) std::memcpy(msg.payload.data(), data, bytes);
+  msg.payload = std::move(payload);
   world_->deliver(dst, std::move(msg));
 }
 
-std::vector<std::byte> Comm::bcast_tree(int root, int tag,
-                                        std::vector<std::byte> payload) {
+Payload Comm::bcast_tree(int root, int tag, Payload payload) {
   const int p = size();
   RCS_CHECK_MSG(root >= 0 && root < p, "bcast_tree bad root " << root);
   if (obs::metrics_enabled() && rank_ == root) NetMetrics::get().bcasts.add(1);
@@ -216,7 +225,7 @@ std::vector<std::byte> Comm::bcast_tree(int root, int tag,
   for (int s = low >> 1; s >= 1; s >>= 1) {
     if (vrank + s < p) {
       const int child = (vrank + s + root) % p;
-      send_bytes(child, tag, payload.data(), payload.size());
+      send_payload(child, tag, payload);
     }
   }
   return payload;
@@ -457,8 +466,7 @@ void Comm::reset_for_run() {
   coll_label_ = nullptr;
 }
 
-std::vector<std::byte> Comm::bcast(int root, int tag,
-                                   std::vector<std::byte> payload) {
+Payload Comm::bcast(int root, int tag, Payload payload) {
   const int p = size();
   RCS_CHECK_MSG(root >= 0 && root < p, "bcast bad root " << root);
   if (obs::metrics_enabled() && rank_ == root) NetMetrics::get().bcasts.add(1);
@@ -466,7 +474,7 @@ std::vector<std::byte> Comm::bcast(int root, int tag,
   if (rank_ == root) {
     for (int r = 0; r < p; ++r) {
       if (r == root) continue;
-      send_bytes(r, tag, payload.data(), payload.size());
+      send_payload(r, tag, payload);
     }
     return payload;
   }
@@ -475,15 +483,17 @@ std::vector<std::byte> Comm::bcast(int root, int tag,
 
 std::vector<double> Comm::bcast_doubles(int root, int tag,
                                         std::vector<double> values) {
-  std::vector<std::byte> bytes(values.size() * sizeof(double));
-  if (rank_ == root && !values.empty()) {
-    std::memcpy(bytes.data(), values.data(), bytes.size());
+  Payload bytes;
+  if (rank_ == root) {
+    bytes = Payload::copy_of(values.data(), values.size() * sizeof(double));
   }
   bytes = bcast(root, tag, std::move(bytes));
   if (rank_ != root) {
     values.resize(bytes.size() / sizeof(double));
-    if (!values.empty())
+    if (!values.empty()) {
       std::memcpy(values.data(), bytes.data(), bytes.size());
+      note_bytes_copied(bytes.size());
+    }
   }
   return values;
 }
@@ -505,9 +515,10 @@ void Comm::barrier() {
       latest = std::max(latest, m.arrival);
     }
     clock_.advance_to(latest);
-    for (int r = 1; r < p; ++r) send_bytes_any_tag(r, kReleaseTag, &token, 1);
+    const Payload release = Payload::copy_of(&token, 1);
+    for (int r = 1; r < p; ++r) send_any_tag(r, kReleaseTag, release);
   } else {
-    send_bytes_any_tag(0, kGatherTag, &token, 1);
+    send_any_tag(0, kGatherTag, Payload::copy_of(&token, 1));
     (void)recv_any_tag(0, kReleaseTag, nullptr);
   }
 }
@@ -541,12 +552,11 @@ double Comm::allreduce_max(double value) {
     for (int r = 1; r < p; ++r) {
       best = std::max(best, recv_any_tag(r, kUpTag, nullptr).as<double>());
     }
-    for (int r = 1; r < p; ++r) {
-      send_bytes_any_tag(r, kDownTag, &best, sizeof(best));
-    }
+    const Payload down = Payload::copy_of(&best, sizeof(best));
+    for (int r = 1; r < p; ++r) send_any_tag(r, kDownTag, down);
     return best;
   }
-  send_bytes_any_tag(0, kUpTag, &value, sizeof(value));
+  send_any_tag(0, kUpTag, Payload::copy_of(&value, sizeof(value)));
   return recv_any_tag(0, kDownTag, nullptr).as<double>();
 }
 

@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -88,30 +89,80 @@ struct MessageEvent {
   SimTime arrival = 0.0;  // when the payload became available
 };
 
+/// Count `bytes` memcpy'd into or out of a message payload under the
+/// `net.bytes_copied` counter (no-op when RCS_METRICS is off). Packs,
+/// Payload::copy_of and owning decodes report here, so the copy volume of a
+/// run is a repeatable count next to `net.bytes_sent`.
+void note_bytes_copied(std::uint64_t bytes);
+
+/// Immutable, reference-counted message bytes. The sender fills the buffer
+/// exactly once (Payload::build or copy_of); after that nobody can write
+/// it, so one Payload can be sent to any number of ranks and read in place
+/// by every receiver. Copying a Payload shares the buffer (a refcount
+/// bump); the buffer is freed when the last holder — a mailbox, a Message,
+/// a Request or a MatrixMsg — drops it. The buffer is aligned for doubles.
+class Payload {
+ public:
+  Payload() = default;
+
+  /// Allocate `bytes` bytes without zero-filling them, let `fill(std::byte*)`
+  /// write every one of them, then freeze the buffer.
+  template <typename Fill>
+  static Payload build(std::size_t bytes, Fill&& fill) {
+    Payload p;
+    if (bytes == 0) return p;
+    auto words = std::make_shared_for_overwrite<double[]>(
+        (bytes + sizeof(double) - 1) / sizeof(double));
+    std::byte* out = reinterpret_cast<std::byte*>(words.get());
+    fill(out);
+    p.buf_ = std::shared_ptr<const std::byte[]>(std::move(words), out);
+    p.size_ = bytes;
+    return p;
+  }
+
+  /// A payload holding a copy of `bytes` bytes at `data`.
+  static Payload copy_of(const void* data, std::size_t bytes);
+
+  const std::byte* data() const { return buf_.get(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// The shared buffer itself (null when empty) — lets callers observe its
+  /// lifetime, e.g. through a weak_ptr.
+  const std::shared_ptr<const std::byte[]>& buffer() const { return buf_; }
+
+ private:
+  std::shared_ptr<const std::byte[]> buf_;
+  std::size_t size_ = 0;
+};
+
 /// A received message: payload plus provenance and simulated arrival time.
+/// Copying a Message shares its payload.
 struct Message {
   int src = -1;
   int tag = -1;
   SimTime depart = 0.0;           // simulated time the transfer started
   SimTime arrival = 0.0;          // simulated time the payload is available
-  std::vector<std::byte> payload;
+  Payload payload;
 
-  /// Reinterpret the payload as a vector of doubles.
+  /// Copy the payload out as a vector of doubles.
   std::vector<double> as_doubles() const {
     RCS_CHECK_MSG(payload.size() % sizeof(double) == 0,
                   "payload is not a whole number of doubles");
     std::vector<double> out(payload.size() / sizeof(double));
-    std::memcpy(out.data(), payload.data(), payload.size());
+    if (!out.empty()) std::memcpy(out.data(), payload.data(), payload.size());
+    note_bytes_copied(payload.size());
     return out;
   }
 
-  /// Reinterpret the payload as a single trivially-copyable value.
+  /// Copy the payload out as a single trivially-copyable value.
   template <typename T>
   T as() const {
     static_assert(std::is_trivially_copyable_v<T>);
     RCS_CHECK_MSG(payload.size() == sizeof(T), "payload size mismatch");
     T v;
     std::memcpy(&v, payload.data(), sizeof(T));
+    note_bytes_copied(sizeof(T));
     return v;
   }
 };
@@ -193,10 +244,11 @@ class Request {
 
   /// Block (wall clock) until the message is available, advance the rank's
   /// simulated clock to at least its arrival, and return it. Idempotent:
-  /// waiting again returns a copy of the same message with no further clock
-  /// effect. Throws Error on an empty/moved-from request, WorldAborted if a
-  /// peer rank failed unexpectedly, RankFailed if the source fail-stopped
-  /// under a FaultPlan before sending.
+  /// waiting again returns the same message (sharing its payload, so the
+  /// same data() pointer) with no further clock effect. Throws Error on an
+  /// empty/moved-from request, WorldAborted if a peer rank failed
+  /// unexpectedly, RankFailed if the source fail-stopped under a FaultPlan
+  /// before sending.
   Message wait();
 
   /// wait() with a simulated-time budget measured from the call: if the
@@ -227,21 +279,32 @@ class Comm {
   int rank() const { return rank_; }
   int size() const;
 
-  /// Point-to-point send of raw bytes. Charges `transfer_time(bytes)` to
-  /// this rank's clock; the message arrives at the charged completion time.
+  /// Point-to-point send of an immutable payload. Charges
+  /// `transfer_time(payload.size())` to this rank's clock; the message
+  /// arrives at the charged completion time. The receiver gets the same
+  /// buffer — no bytes are copied — so one payload can be sent to many
+  /// ranks while every destination is still charged on the wire.
   /// All point-to-point operations validate their arguments: the peer rank
   /// must be in [0, size) and distinct from this rank, and user tags must be
   /// non-negative (negative tags are reserved for internal collectives) —
   /// violations throw a descriptive Error instead of indexing mailboxes out
   /// of bounds.
-  void send_bytes(int dst, int tag, const void* data, std::size_t bytes);
+  void send_payload(int dst, int tag, Payload payload);
 
   /// DMA-style non-blocking send: the transfer occupies this rank's NIC
   /// timeline instead of the CPU (the RapidArray engines on XD1 can move
   /// data without the processor). The CPU pays only the per-message setup
   /// latency; the message arrives when the NIC finishes. Ordering with
   /// other isends from this rank is preserved (one NIC, serialized).
-  void isend_bytes(int dst, int tag, const void* data, std::size_t bytes);
+  void isend_payload(int dst, int tag, Payload payload);
+
+  /// send_payload / isend_payload of a copy of `bytes` bytes at `data`.
+  void send_bytes(int dst, int tag, const void* data, std::size_t bytes) {
+    send_payload(dst, tag, Payload::copy_of(data, bytes));
+  }
+  void isend_bytes(int dst, int tag, const void* data, std::size_t bytes) {
+    isend_payload(dst, tag, Payload::copy_of(data, bytes));
+  }
 
   /// Simulated time this rank's NIC becomes idle.
   SimTime nic_free_at() const { return nic_busy_until_; }
@@ -293,9 +356,9 @@ class Comm {
 
   /// Root-serialized broadcast: root sends to every other rank in turn
   /// (P_t' "transfers ... to all the other nodes"); non-roots receive.
-  /// Returns the payload (the root's own copy comes back unchanged).
-  std::vector<std::byte> bcast(int root, int tag,
-                               std::vector<std::byte> payload);
+  /// Every rank returns the root's one buffer (the root's own payload comes
+  /// back unchanged).
+  Payload bcast(int root, int tag, Payload payload);
 
   /// Broadcast a vector of doubles.
   std::vector<double> bcast_doubles(int root, int tag,
@@ -303,9 +366,9 @@ class Comm {
 
   /// Binomial-tree broadcast: ceil(log2 p) rounds, each relay forwarding to
   /// its subtree, so the last arrival is ~log2(p) transfer times instead of
-  /// the root-serialized (p-1). Every rank must call it.
-  std::vector<std::byte> bcast_tree(int root, int tag,
-                                    std::vector<std::byte> payload);
+  /// the root-serialized (p-1). Every rank must call it; relays forward
+  /// the buffer they received, so all ranks share the root's one buffer.
+  Payload bcast_tree(int root, int tag, Payload payload);
 
   /// All ranks contribute `mine`; every rank returns the concatenation in
   /// rank order (gather to root, then broadcast).
@@ -366,8 +429,7 @@ class Comm {
 
   /// Internal send/recv that accept reserved (negative) tags — the public
   /// operations validate user tags and then route through these.
-  void send_bytes_any_tag(int dst, int tag, const void* data,
-                          std::size_t bytes);
+  void send_any_tag(int dst, int tag, Payload payload);
   Message recv_any_tag(int src, int tag, const char* overlap_phase);
 
   /// Fail-stop checkpoint: when the installed FaultPlan crashes this rank

@@ -2,11 +2,15 @@
 // semantics (§4.3 accounting), determinism, and the matrix channel.
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"
@@ -23,6 +27,12 @@ net::NetworkParams fast_net() {
   np.bytes_per_s = 1e9;
   np.latency_s = 0.0;
   return np;
+}
+
+/// A zero-filled payload of `n` bytes.
+net::Payload zero_payload(std::size_t n) {
+  const std::vector<std::byte> bytes(n);
+  return net::Payload::copy_of(bytes.data(), n);
 }
 
 TEST(MiniMpi, SendRecvMovesBytes) {
@@ -245,11 +255,13 @@ TEST(MiniMpi, TreeBcastDeliversToAll) {
   for (int p : {2, 3, 4, 5, 7, 8}) {
     net::World world(p, fast_net());
     world.run([](net::Comm& comm) {
-      std::vector<std::byte> payload;
-      if (comm.rank() == 1 % comm.size()) payload.resize(64, std::byte{42});
-      payload = comm.bcast_tree(1 % comm.size(), 9, std::move(payload));
+      std::vector<std::byte> bytes;
+      const int root = 1 % comm.size();
+      if (comm.rank() == root) bytes.resize(64, std::byte{42});
+      const net::Payload payload = comm.bcast_tree(
+          root, 9, net::Payload::copy_of(bytes.data(), bytes.size()));
       ASSERT_EQ(payload.size(), 64u);
-      EXPECT_EQ(payload[10], std::byte{42});
+      EXPECT_EQ(payload.data()[10], std::byte{42});
     });
   }
 }
@@ -261,8 +273,8 @@ TEST(MiniMpi, TreeBcastBeatsSerialBcastInSimTime) {
   auto last_arrival = [&](bool tree) {
     net::World world(8, np);
     world.run([&](net::Comm& comm) {
-      std::vector<std::byte> payload;
-      if (comm.rank() == 0) payload.resize(bytes);
+      net::Payload payload;
+      if (comm.rank() == 0) payload = zero_payload(bytes);
       if (tree) {
         comm.bcast_tree(0, 1, std::move(payload));
       } else {
@@ -466,8 +478,8 @@ TEST(MiniMpi, TreeBcastStaggersArrivalsNonPowerOfTwo) {
   std::vector<double> finish(6, -1.0);
   net::World world(6, np);
   world.run([&](net::Comm& comm) {
-    std::vector<std::byte> payload;
-    if (comm.rank() == 0) payload.resize(bytes);
+    net::Payload payload;
+    if (comm.rank() == 0) payload = zero_payload(bytes);
     payload = comm.bcast_tree(0, 1, std::move(payload));
     EXPECT_EQ(payload.size(), bytes);
     finish[static_cast<std::size_t>(comm.rank())] = comm.clock().now();
@@ -483,8 +495,8 @@ TEST(MiniMpi, TreeBcastStaggersArrivalsNonPowerOfTwo) {
   std::vector<double> finish3(3, -1.0);
   net::World world3(3, np);
   world3.run([&](net::Comm& comm) {
-    std::vector<std::byte> payload;
-    if (comm.rank() == 0) payload.resize(bytes);
+    net::Payload payload;
+    if (comm.rank() == 0) payload = zero_payload(bytes);
     payload = comm.bcast_tree(0, 1, std::move(payload));
     finish3[static_cast<std::size_t>(comm.rank())] = comm.clock().now();
   });
@@ -883,12 +895,15 @@ TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
     EXPECT_EQ(comm.recv((r + p - 1) % p, 1).as<int>(), (r + p - 1) % p);
     comm.barrier();
     // Binomial-tree broadcast from a non-zero root.
-    std::vector<std::byte> payload;
-    if (r == 3) payload = {std::byte{0xAB}, std::byte{0xCD}};
-    const auto got = comm.bcast_tree(3, 2, std::move(payload));
+    net::Payload payload;
+    if (r == 3) {
+      const std::byte bytes[2] = {std::byte{0xAB}, std::byte{0xCD}};
+      payload = net::Payload::copy_of(bytes, 2);
+    }
+    const net::Payload got = comm.bcast_tree(3, 2, std::move(payload));
     ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], std::byte{0xAB});
-    EXPECT_EQ(got[1], std::byte{0xCD});
+    EXPECT_EQ(got.data()[0], std::byte{0xAB});
+    EXPECT_EQ(got.data()[1], std::byte{0xCD});
   });
   EXPECT_TRUE(world.failed_ranks().empty());
 
@@ -906,6 +921,190 @@ TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
     EXPECT_THROW(comm.recv(17, 3), net::RankFailed);
   });
   EXPECT_EQ(world.failed_ranks(), std::vector<int>{17});
+}
+
+// --- Matrix framing --------------------------------------------------------
+
+/// A matrix message whose header claims rows x cols, followed by
+/// `body_bytes` bytes.
+net::Message framed(std::uint64_t rows, std::uint64_t cols,
+                    std::size_t body_bytes) {
+  std::vector<std::byte> buf(2 * sizeof(std::uint64_t) + body_bytes);
+  std::memcpy(buf.data(), &rows, sizeof(rows));
+  std::memcpy(buf.data() + sizeof(rows), &cols, sizeof(cols));
+  net::Message m;
+  m.payload = net::Payload::copy_of(buf.data(), buf.size());
+  return m;
+}
+
+// A forged header whose byte count wraps: 2^61 * 8 doubles is 2^67 bytes,
+// which is 0 mod 2^64, so a naive size check accepts it for a 16-byte
+// message and hands out a 2^61-row matrix without storage.
+TEST(MatrixChannel, FramingRejectsOverflowingHeader) {
+  const net::Message m = framed(std::uint64_t{1} << 61, 8, 0);
+  EXPECT_THROW(net::decode_matrix(m), rcs::Error);
+  EXPECT_THROW(net::MatrixMsg{m.payload}, rcs::Error);
+  const net::Message swapped = framed(8, std::uint64_t{1} << 61, 0);
+  EXPECT_THROW(net::MatrixMsg{swapped.payload}, rcs::Error);
+}
+
+TEST(MatrixChannel, FramingRejectsTruncatedHeader) {
+  const std::byte bytes[15] = {};
+  net::Message m;
+  m.payload = net::Payload::copy_of(bytes, sizeof bytes);
+  EXPECT_THROW(net::decode_matrix(m), rcs::Error);
+  EXPECT_THROW(net::MatrixMsg{m.payload}, rcs::Error);
+  EXPECT_THROW(net::MatrixMsg{net::Payload()}, rcs::Error);
+}
+
+TEST(MatrixChannel, FramingRejectsSizeOffByOne) {
+  EXPECT_THROW(net::decode_matrix(framed(3, 4, 96 + 1)), rcs::Error);
+  EXPECT_THROW(net::decode_matrix(framed(3, 4, 96 - 1)), rcs::Error);
+  const Matrix ok = net::decode_matrix(framed(3, 4, 96));
+  EXPECT_EQ(ok.rows(), 3u);
+  EXPECT_EQ(ok.cols(), 4u);
+  // Empty shapes stay legal: LU workers send b x 0 shares when they
+  // outnumber the block's columns.
+  const net::MatrixMsg empty{framed(5, 0, 0).payload};
+  EXPECT_EQ(empty.rows(), 5u);
+  EXPECT_EQ(empty.cols(), 0u);
+}
+
+// --- Shared immutable payloads ---------------------------------------------
+// Each test runs under both schedulers — one OS thread per rank, and rank
+// fibers multiplexed over two workers — so payload refcounts are released
+// across threads and fibers alike (the sanitizer CI jobs run this file).
+
+constexpr int kSchedModes[] = {net::World::kThreadPerRank, 2};
+
+net::Payload pattern_payload(std::size_t n) {
+  std::vector<std::byte> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  return net::Payload::copy_of(bytes.data(), n);
+}
+
+TEST(SharedPayload, OnePayloadFansOutIdenticalBytes) {
+  constexpr int kP = 5;
+  constexpr std::size_t kBytes = 1000;
+  for (const int mode : kSchedModes) {
+    net::World world(kP, fast_net());
+    world.set_max_workers(mode);
+    const net::Payload sent = pattern_payload(kBytes);
+    const std::vector<std::byte> expect(sent.data(), sent.data() + kBytes);
+    world.run([&](net::Comm& comm) {
+      if (comm.rank() == 0) {
+        for (int r = 1; r < kP; ++r) comm.send_payload(r, 1, sent);
+        for (int r = 1; r < kP; ++r) comm.isend_payload(r, 2, sent);
+        return;
+      }
+      for (const int tag : {1, 2}) {
+        const net::Message m = comm.recv(0, tag);
+        ASSERT_EQ(m.payload.size(), kBytes);
+        EXPECT_EQ(std::memcmp(m.payload.data(), expect.data(), kBytes), 0);
+        // Zero-copy: every receiver reads the sender's one buffer.
+        EXPECT_EQ(m.payload.data(), sent.data());
+      }
+    });
+    // The wire is still charged once per destination.
+    EXPECT_EQ(world.comm(0).bytes_sent(), 2u * (kP - 1) * kBytes);
+  }
+}
+
+TEST(SharedPayload, PackIsASnapshot) {
+  for (const int mode : kSchedModes) {
+    net::World world(3, fast_net());
+    world.set_max_workers(mode);
+    Matrix src = rcs::linalg::random_matrix(4, 6, 21);
+    const Matrix original = src;
+    world.run([&](net::Comm& comm) {
+      if (comm.rank() == 0) {
+        net::isend_matrix(comm, 1, 3, src.view());
+        net::isend_matrix(comm, 2, 3, src.block(1, 2, 2, 3));
+        // Overwrite the source after the sends: receivers must not see it.
+        for (std::size_t i = 0; i < src.rows(); ++i) {
+          for (std::size_t j = 0; j < src.cols(); ++j) src(i, j) = -1.0;
+        }
+        return;
+      }
+      const net::MatrixMsg m = net::recv_matrix_view(comm, 0, 3);
+      const auto want = comm.rank() == 1 ? original.view()
+                                         : original.block(1, 2, 2, 3);
+      EXPECT_TRUE(rcs::linalg::bit_equal(m.view(), want));
+    });
+  }
+}
+
+TEST(SharedPayload, RepeatedWaitReturnsTheSameBuffer) {
+  for (const int mode : kSchedModes) {
+    net::World world(2, fast_net());
+    world.set_max_workers(mode);
+    world.run([](net::Comm& comm) {
+      if (comm.rank() == 0) {
+        comm.send_payload(1, 4, pattern_payload(256));
+        return;
+      }
+      net::Request req = comm.irecv(0, 4);
+      const net::Message first = req.wait();
+      const net::Message again = req.wait();
+      ASSERT_NE(first.payload.data(), nullptr);
+      EXPECT_EQ(again.payload.data(), first.payload.data());
+      EXPECT_EQ(again.payload.size(), 256u);
+    });
+  }
+}
+
+// The sender packs once and drops its handle; three receivers hold views
+// and drop them on their own threads/fibers. After the barrier, every
+// holder is gone and the buffer must be freed.
+TEST(SharedPayload, BufferFreedWhenLastMatrixMsgDrops) {
+  for (const int mode : kSchedModes) {
+    net::World world(4, fast_net());
+    world.set_max_workers(mode);
+    const Matrix src = rcs::linalg::random_matrix(5, 5, 23);
+    std::weak_ptr<const std::byte[]> watch;
+    world.run([&](net::Comm& comm) {
+      if (comm.rank() == 0) {
+        {
+          const net::Payload packed = net::pack_matrix(src.view());
+          watch = packed.buffer();
+          for (int r = 1; r < 4; ++r) comm.send_payload(r, 6, packed);
+        }
+        comm.barrier();
+        EXPECT_TRUE(watch.expired());
+        return;
+      }
+      {
+        net::MatrixMsg m = net::recv_matrix_view(comm, 0, 6);
+        const net::MatrixMsg copy = m;
+        m = net::MatrixMsg();
+        EXPECT_TRUE(rcs::linalg::bit_equal(copy.view(), src.view()));
+      }
+      comm.barrier();
+    });
+    EXPECT_TRUE(watch.expired());
+  }
+}
+
+// A message nobody receives stays queued (and alive) after run(); the next
+// run() on the same World clears the mailboxes and frees it.
+TEST(SharedPayload, UndeliveredPayloadReleasedByRerun) {
+  for (const int mode : kSchedModes) {
+    net::World world(2, fast_net());
+    world.set_max_workers(mode);
+    std::weak_ptr<const std::byte[]> watch;
+    world.run([&](net::Comm& comm) {
+      if (comm.rank() == 0) {
+        net::Payload p = pattern_payload(64);
+        watch = p.buffer();
+        comm.isend_payload(1, 9, std::move(p));
+      }
+    });
+    EXPECT_FALSE(watch.expired());
+    world.run([](net::Comm&) {});
+    EXPECT_TRUE(watch.expired());
+  }
 }
 
 }  // namespace

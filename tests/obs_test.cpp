@@ -14,6 +14,7 @@
 #include "core/lu_functional.hpp"
 #include "core/predict.hpp"
 #include "linalg/generate.hpp"
+#include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
@@ -479,6 +480,44 @@ TEST(Trace, PhaseSpanAccumulatesWallCounter) {
     }
   }
   EXPECT_GT(c.value(), before);
+}
+
+// net.bytes_copied counts every byte memcpy'd into or out of a payload,
+// while net.bytes_sent counts every byte charged on the wire. A fan-out of
+// one packed 3x4 block to three ranks copies it once but sends it thrice.
+TEST(Metrics, BytesCopiedCountsPacksAndOwningDecodesOnly) {
+  TelemetryGuard guard;
+  obs::set_metrics_enabled(true);
+  auto& reg = obs::Registry::global();
+  obs::Counter& copied = reg.counter("net.bytes_copied");
+  obs::Counter& sent = reg.counter("net.bytes_sent");
+  const std::uint64_t copied0 = copied.value();
+  const std::uint64_t sent0 = sent.value();
+
+  const la::Matrix block = la::random_matrix(3, 4, 5);
+  constexpr std::uint64_t kWire = 16 + 3 * 4 * 8;  // header + doubles
+  rcs::net::World world(4, core::SystemParams::cray_xd1().network);
+  world.run([&](rcs::net::Comm& comm) {
+    if (comm.rank() == 0) {
+      const rcs::net::Payload packed = rcs::net::pack_matrix(block.view());
+      for (int r = 1; r < 4; ++r) comm.send_payload(r, 1, packed);
+      comm.send_value(1, 2, 1.5);
+      return;
+    }
+    const rcs::net::Message m = comm.recv(0, 1);
+    if (comm.rank() == 3) {
+      (void)rcs::net::decode_matrix(m);  // owning decode: one copy out
+    } else {
+      (void)rcs::net::MatrixMsg(m.payload);  // read in place: no copy
+    }
+    if (comm.rank() == 1) {
+      EXPECT_EQ(comm.recv(0, 2).as<double>(), 1.5);
+    }
+  });
+
+  // One pack, one owning decode of the doubles, the value in and out.
+  EXPECT_EQ(copied.value() - copied0, kWire + 3 * 4 * 8 + 8 + 8);
+  EXPECT_EQ(sent.value() - sent0, 3 * kWire + 8);
 }
 
 TEST(SimTrace, CsvEscapesSeparatorsAndQuotes) {
