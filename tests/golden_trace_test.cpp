@@ -8,6 +8,9 @@
 //     plus every recorded comm event;
 //   * the run report and, for LU/FW, the per-phase overlap accounting;
 //   * the raw bytes of the result matrix.
+// One further digest pins the analytic planes and the predictor: run
+// reports, partitions and per-iteration latencies at points of the paper's
+// Fig. 5-9 sweeps.
 // Changes to the message path (payload ownership, packing, fan-out) must
 // leave all of these byte-identical; a digest mismatch means a simulated
 // charge, a message order or a result moved. The digests were recorded
@@ -25,9 +28,12 @@
 #include <gtest/gtest.h>
 
 #include "core/cholesky.hpp"
+#include "core/fw_analytic.hpp"
 #include "core/fw_functional.hpp"
+#include "core/lu_analytic.hpp"
 #include "core/lu_functional.hpp"
 #include "core/mm.hpp"
+#include "core/predict.hpp"
 #include "core/system.hpp"
 #include "graph/generate.hpp"
 #include "linalg/cholesky.hpp"
@@ -103,6 +109,49 @@ class Record {
         << ' ' << f.slowdown_hits << ' ' << f.slowdown_added_s << '\n';
   }
 
+  /// Every FaultStats field, for the injection/recovery runs.
+  void all_faults(const sim::FaultStats& f) {
+    os_ << "faults " << f.bitflips_injected << ' ' << f.slowdown_hits << ' '
+        << f.slowdown_added_s << ' ' << f.link_hits << ' ' << f.link_added_s
+        << ' ' << f.crashes << ' ' << f.checks << ' ' << f.detected << ' '
+        << f.corrected_elements << ' ' << f.reissued_blocks << ' '
+        << f.straggler_timeouts << ' ' << f.straggler_reissues << ' '
+        << f.recovery_cpu_s << " mttr";
+    for (const double t : f.mttr_s) os_ << ' ' << t;
+    os_ << '\n';
+  }
+
+  void values(const char* label, const std::vector<double>& v) {
+    os_ << label << ' ' << v.size();
+    for (const double x : v) os_ << ' ' << x;
+    os_ << '\n';
+  }
+
+  void phases(const std::map<std::string, double>& m) {
+    for (const auto& [k, v] : m) os_ << k << ' ' << v << '\n';
+  }
+
+  void prediction(const core::Prediction& pr) {
+    os_ << "predict " << pr.t_tp << ' ' << pr.t_tf << ' ' << pr.total_flops
+        << '\n';
+  }
+
+  void mm_partition(const core::MmPartition& m) {
+    os_ << "mmpart " << m.b << ' ' << m.b_f << ' ' << m.b_p << ' '
+        << m.t_f_stripe << ' ' << m.t_p_stripe << ' ' << m.t_mem_stripe << ' '
+        << m.t_comm_stripe << ' ' << m.residual << '\n';
+  }
+
+  void fw_partition(const core::FwPartition& f) {
+    os_ << "fwpart " << f.ops_per_phase << ' ' << f.l1 << ' ' << f.l2 << ' '
+        << f.t_p << ' ' << f.t_f << ' ' << f.t_mem << ' ' << f.t_comm << ' '
+        << f.residual << '\n';
+  }
+
+  void scalar(const char* label, double v) {
+    os_ << label << ' ' << v << '\n';
+  }
+
   void matrix(const la::Matrix& m) {
     os_ << "matrix " << m.rows() << 'x' << m.cols() << '\n';
     os_.write(reinterpret_cast<const char*>(m.data()),
@@ -144,7 +193,10 @@ core::FwConfig fw_cfg(long long n, long long b) {
   return cfg;
 }
 
-Record fw_record(int p, const core::FwConfig& cfg, std::uint64_t seed) {
+// `full_faults` additionally records every FaultStats field (the original
+// digests cover only the straggler and slowdown counters).
+Record fw_record(int p, const core::FwConfig& cfg, std::uint64_t seed,
+                 bool full_faults = false) {
   const la::Matrix d0 =
       gr::random_digraph(static_cast<std::size_t>(cfg.n), seed, 0.3);
   sim::TraceRecorder tr(true);
@@ -156,37 +208,36 @@ Record fw_record(int p, const core::FwConfig& cfg, std::uint64_t seed) {
   rec.report(res.run);
   rec.overlap(res.overlap);
   rec.faults(res.faults);
+  if (full_faults) rec.all_faults(res.faults);
   rec.matrix(res.distances);
   return rec;
 }
 
-Record lu_record(int p, const core::LuConfig& cfg, std::uint64_t seed) {
+Record lu_record(int p, const core::LuConfig& cfg, std::uint64_t seed,
+                 bool soft_fp = false, bool full_faults = false) {
   const la::Matrix a = la::diagonally_dominant(static_cast<std::size_t>(cfg.n),
                                                seed);
   sim::TraceRecorder tr(true);
   std::vector<net::MessageEvent> log;
-  const auto res = core::lu_functional(xd1_p(p), cfg, a, false, &tr, &log);
+  const auto res = core::lu_functional(xd1_p(p), cfg, a, soft_fp, &tr, &log);
   Record rec;
   rec.messages(log);
   rec.trace(tr);
   rec.report(res.run);
   rec.overlap(res.overlap);
   rec.faults(res.faults);
+  if (full_faults) rec.all_faults(res.faults);
   rec.matrix(res.factored);
   return rec;
 }
 
 // Cholesky and MM expose no message log; their digests cover the trace
 // (spans and comm events), the report and the result.
-Record chol_record(int p, long long n, long long b, std::uint64_t seed) {
-  const la::Matrix a = la::spd_matrix(static_cast<std::size_t>(n), seed);
-  core::CholConfig cfg;
-  cfg.n = n;
-  cfg.b = b;
-  cfg.mode = core::DesignMode::Hybrid;
-  cfg.b_f = b / 2;
+Record chol_record(int p, const core::CholConfig& cfg, std::uint64_t seed,
+                   bool soft_fp = false) {
+  const la::Matrix a = la::spd_matrix(static_cast<std::size_t>(cfg.n), seed);
   sim::TraceRecorder tr(true);
-  const auto res = core::cholesky_functional(xd1_p(p), cfg, a, false, &tr);
+  const auto res = core::cholesky_functional(xd1_p(p), cfg, a, soft_fp, &tr);
   Record rec;
   rec.trace(tr);
   rec.report(res.run);
@@ -194,14 +245,31 @@ Record chol_record(int p, long long n, long long b, std::uint64_t seed) {
   return rec;
 }
 
-Record mm_record(int p, long long n, long long b, std::uint64_t seed) {
+core::CholConfig chol_cfg(long long n, long long b,
+                          core::DesignMode mode = core::DesignMode::Hybrid,
+                          long long b_f = -1) {
+  core::CholConfig cfg;
+  cfg.n = n;
+  cfg.b = b;
+  cfg.mode = mode;
+  cfg.b_f = b_f;
+  return cfg;
+}
+
+Record chol_record(int p, long long n, long long b, std::uint64_t seed) {
+  return chol_record(p, chol_cfg(n, b, core::DesignMode::Hybrid, b / 2),
+                     seed);
+}
+
+Record mm_record(int p, long long n, long long b, std::uint64_t seed,
+                 core::DesignMode mode = core::DesignMode::Hybrid) {
   const std::size_t nn = static_cast<std::size_t>(n);
   const la::Matrix a = la::random_matrix(nn, nn, seed);
   const la::Matrix bm = la::random_matrix(nn, nn, seed + 1);
   core::MmConfig cfg;
   cfg.n = n;
   cfg.b = b;
-  cfg.mode = core::DesignMode::Hybrid;
+  cfg.mode = mode;
   sim::TraceRecorder tr(true);
   const auto res = core::mm_functional(xd1_p(p), cfg, a, bm, false, &tr);
   Record rec;
@@ -209,6 +277,17 @@ Record mm_record(int p, long long n, long long b, std::uint64_t seed) {
   rec.report(res.run);
   rec.matrix(res.c);
   return rec;
+}
+
+sim::BitFlip flip(int rank, std::uint64_t call, double ru, double cu,
+                  int bit) {
+  sim::BitFlip f;
+  f.rank = rank;
+  f.call = call;
+  f.row_u = ru;
+  f.col_u = cu;
+  f.bit = bit;
+  return f;
 }
 
 }  // namespace
@@ -299,4 +378,162 @@ TEST(GoldenTrace, LuFiberModeP64) {
                   lu_record(64, cfg, 37),
                   lookahead ? 0xd3b07f757a37d171ull : 0x5d6ea1733e2e6113ull);
   }
+}
+
+// ---- Paths the digests above do not reach. ----
+
+TEST(GoldenTrace, MatrixMultiplySingleNode) {
+  expect_digest("mm_p1", mm_record(1, 64, 16, 41), 0x97df97b9f2bcdcc5ull);
+}
+
+TEST(GoldenTrace, CholeskyAndMmBaselineModes) {
+  expect_digest("chol_p3_cpu",
+                chol_record(3, chol_cfg(64, 16,
+                                        core::DesignMode::ProcessorOnly),
+                            43),
+                0x3c6a02352d62222aull);
+  expect_digest("chol_p3_fpga",
+                chol_record(3, chol_cfg(64, 16, core::DesignMode::FpgaOnly),
+                            47),
+                0x89085c8b7516377eull);
+  expect_digest("mm_p3_cpu",
+                mm_record(3, 64, 16, 53, core::DesignMode::ProcessorOnly),
+                0x7af2f48888026179ull);
+  expect_digest("mm_p3_fpga",
+                mm_record(3, 64, 16, 59, core::DesignMode::FpgaOnly),
+                0xa8a535f057ffc2ecull);
+  expect_digest("mm_p1_fpga",
+                mm_record(1, 32, 16, 61, core::DesignMode::FpgaOnly),
+                0x2c17d2301733cbe5ull);
+}
+
+// The FPGA share runs through the bit-accurate IEEE-754 cores.
+TEST(GoldenTrace, SoftFloatingPoint) {
+  core::LuConfig lu = lu_cfg(64, 16);
+  lu.b_f = 8;
+  expect_digest("lu_p3_soft", lu_record(3, lu, 67, /*soft_fp=*/true),
+                0x347c3302759ea4f4ull);
+  expect_digest("chol_p3_soft",
+                chol_record(3, chol_cfg(64, 16, core::DesignMode::Hybrid, 8),
+                            71, /*soft_fp=*/true),
+                0xe2928051fcc93d0bull);
+}
+
+// Bit-flips in FPGA results: LU's ABFT checksums and FW's DMR re-runs
+// detect and repair them.
+TEST(GoldenTrace, LuAbftUnderBitFlips) {
+  sim::FaultPlan plan(11);
+  plan.add_bitflip(flip(0, 0, 0.3, 0.7, 52));
+  plan.add_bitflip(flip(1, 1, 0.9, 0.1, 57));
+  core::LuConfig cfg = lu_cfg(64, 16);
+  cfg.b_f = 8;
+  cfg.faults = &plan;
+  cfg.fault_tolerance = true;
+  expect_digest("lu_p3_abft",
+                lu_record(3, cfg, 7, /*soft_fp=*/false, /*full_faults=*/true),
+                0x0b602db15ce0e73eull);
+}
+
+TEST(GoldenTrace, FwDmrUnderBitFlips) {
+  sim::FaultPlan plan(19);
+  plan.add_bitflip(flip(0, 0, 0.2, 0.8, 53));
+  plan.add_bitflip(flip(1, 2, 0.7, 0.4, 58));
+  core::FwConfig cfg = fw_cfg(64, 16);
+  cfg.faults = &plan;
+  cfg.fault_tolerance = true;
+  expect_digest("fw_p2_dmr", fw_record(2, cfg, 5, /*full_faults=*/true),
+                0xcf4c3e51b32a0af8ull);
+}
+
+// The analytic planes and the predictor at points of the paper's Fig. 5-9
+// sweeps, in every design mode: reports, partitions and per-iteration
+// latencies as hex floats.
+TEST(GoldenTrace, AnalyticPlanesAndPredictor) {
+  const core::SystemParams xd1 = core::SystemParams::cray_xd1();
+  const core::DesignMode modes[] = {core::DesignMode::Hybrid,
+                                    core::DesignMode::ProcessorOnly,
+                                    core::DesignMode::FpgaOnly};
+  Record rec;
+  // Fig. 5: one opMM at b = 3000 across the b_f sweep.
+  for (const long long b_f : {0LL, 600LL, 1200LL, 1800LL, 3000LL}) {
+    rec.scalar("opmm", core::lu_single_opmm_latency(
+                           xd1, 3000, b_f, core::SendFanout::SerialAll));
+    rec.scalar("opmm1", core::lu_single_opmm_latency(
+                            xd1, 3000, b_f, core::SendFanout::PaperSingle));
+  }
+  for (const core::DesignMode mode : modes) {
+    // Fig. 6 / 8 / 9: LU at b = 3000.
+    for (const long long nb : {2LL, 6LL, 10LL}) {
+      core::LuConfig lu;
+      lu.n = 3000 * nb;
+      lu.b = 3000;
+      lu.mode = mode;
+      for (const bool lookahead : {false, true}) {
+        lu.lookahead = lookahead;
+        const auto rep = core::lu_analytic(xd1, lu);
+        rec.report(rep.run);
+        rec.mm_partition(rep.partition);
+        rec.scalar("l", rep.interleave.l);
+        rec.values("iters", rep.iteration_seconds);
+      }
+      rec.prediction(core::predict_lu(xd1, lu));
+      rec.phases(core::predict_lu_phase_seconds(xd1, lu));
+    }
+    {
+      core::LuConfig lu;  // Fig. 6: one iteration at a fixed l
+      lu.n = 30000;
+      lu.b = 3000;
+      lu.mode = mode;
+      lu.l = 3;
+      lu.max_iterations = 1;
+      rec.report(core::lu_analytic(xd1, lu).run);
+    }
+    // Fig. 7 / 9: FW.
+    for (const long long n : {18432LL, 92160LL}) {
+      core::FwConfig fw;
+      fw.n = n;
+      fw.b = 256;
+      fw.mode = mode;
+      for (const bool tree : {false, true}) {
+        fw.tree_bcast = tree;
+        const auto rep = core::fw_analytic(xd1, fw);
+        rec.report(rep.run);
+        rec.fw_partition(rep.partition);
+        rec.scalar("owner", rep.owner_busy_seconds);
+        rec.scalar("worker", rep.worker_busy_seconds);
+      }
+      rec.prediction(core::predict_fw(xd1, fw));
+      rec.phases(core::predict_fw_phase_seconds(xd1, fw));
+    }
+    {
+      core::FwConfig fw;  // Fig. 7: one iteration at a fixed l1
+      fw.n = 18432;
+      fw.b = 256;
+      fw.mode = mode;
+      fw.l1 = 5;
+      fw.max_iterations = 1;
+      rec.report(core::fw_analytic(xd1, fw).run);
+    }
+    // Cholesky and MM, the extension applications.
+    {
+      core::CholConfig ch;
+      ch.n = 30000;
+      ch.b = 3000;
+      ch.mode = mode;
+      const auto rep = core::cholesky_analytic(xd1, ch);
+      rec.report(rep.run);
+      rec.mm_partition(rep.partition);
+      rec.values("iters", rep.iteration_seconds);
+    }
+    for (const int p : {1, 6}) {
+      core::MmConfig mm;
+      mm.n = 12000;
+      mm.b = 3000;
+      mm.mode = mode;
+      const auto rep = core::mm_analytic(xd1.with_nodes(p), mm);
+      rec.report(rep.run);
+      rec.mm_partition(rep.partition);
+    }
+  }
+  expect_digest("analytic", rec, 0xee4bdd7ba843e11dull);
 }
