@@ -53,6 +53,43 @@ void attach_overlap(std::vector<PhaseDrift>& phases,
   }
 }
 
+/// Run one traced functional run (`run` executes it into the recorder it
+/// is given) and set its per-phase simulated busy time and measured wall
+/// time beside the predictor's `pred`.
+template <class Run>
+DriftReport traced_drift(const std::string& app,
+                         const std::vector<std::string>& names,
+                         const std::map<std::string, double>& pred,
+                         double predicted_latency_s, int p, const Run& run) {
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const auto before = wall_counters(app, names);
+
+  sim::TraceRecorder rec(true);
+  const std::int64_t w0 = obs::trace_now_ns();
+  const auto res = run(&rec);
+  const double wall =
+      static_cast<double>(obs::trace_now_ns() - w0) * 1e-9;
+  const auto after = wall_counters(app, names);
+  obs::set_metrics_enabled(metrics_were_on);
+  const auto sim_busy = rec.busy_by_label();
+
+  DriftReport rep;
+  rep.design = res.run.design;
+  rep.predicted_latency_s = predicted_latency_s;
+  rep.simulated_makespan_s = res.run.seconds;
+  rep.measured_wall_s = wall;
+  for (const auto& name : names) {
+    rep.phases.push_back(make_phase(name, pred.at(name), sim_busy,
+                                    before.at(name), after.at(name)));
+  }
+  attach_overlap(rep.phases, res.overlap);
+  if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
+  rep.faults = res.faults;
+  rep.analysis = analyze_run(rec, p, res.run.seconds);
+  return rep;
+}
+
 }  // namespace
 
 double PhaseDrift::drift_measured() const {
@@ -71,72 +108,25 @@ double PhaseDrift::overlap_efficiency() const {
 
 DriftReport lu_drift_report(const SystemParams& sys, const LuConfig& cfg,
                             const linalg::Matrix& a) {
-  const std::vector<std::string> names{"opLU", "opL", "opU", "opMM", "opMS"};
-  const bool metrics_were_on = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-  const auto before = wall_counters("lu", names);
-
-  sim::TraceRecorder rec(true);
-  const std::int64_t w0 = obs::trace_now_ns();
-  const LuFunctionalResult res = lu_functional(sys, cfg, a, false, &rec);
-  const double wall =
-      static_cast<double>(obs::trace_now_ns() - w0) * 1e-9;
-  const auto after = wall_counters("lu", names);
-  obs::set_metrics_enabled(metrics_were_on);
-
   std::map<std::string, double> pred = predict_lu_phase_seconds(sys, cfg);
   // The functional plane's "opMM" phase covers both sides of the split.
   pred["opMM"] = pred["opMM.cpu"] + pred["opMM.fpga"];
-  const auto sim_busy = rec.busy_by_label();
-
-  DriftReport rep;
-  rep.design = res.run.design;
-  rep.predicted_latency_s = predict_lu(sys, cfg).latency_seconds();
-  rep.simulated_makespan_s = res.run.seconds;
-  rep.measured_wall_s = wall;
-  for (const auto& name : names) {
-    rep.phases.push_back(make_phase(name, pred[name], sim_busy,
-                                    before.at(name), after.at(name)));
-  }
-  attach_overlap(rep.phases, res.overlap);
-  if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
-  rep.faults = res.faults;
-  rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
-  return rep;
+  return traced_drift(
+      "lu", {"opLU", "opL", "opU", "opMM", "opMS"}, pred,
+      predict_lu(sys, cfg).latency_seconds(), sys.p,
+      [&](sim::TraceRecorder* rec) {
+        return lu_functional(sys, cfg, a, false, rec);
+      });
 }
 
 DriftReport fw_drift_report(const SystemParams& sys, const FwConfig& cfg,
                             const linalg::Matrix& d0) {
-  const std::vector<std::string> names{"op1", "op21", "op22", "op3"};
-  const bool metrics_were_on = obs::metrics_enabled();
-  obs::set_metrics_enabled(true);
-  const auto before = wall_counters("fw", names);
-
-  sim::TraceRecorder rec(true);
-  const std::int64_t w0 = obs::trace_now_ns();
-  const FwFunctionalResult res = fw_functional(sys, cfg, d0, false, &rec);
-  const double wall =
-      static_cast<double>(obs::trace_now_ns() - w0) * 1e-9;
-  const auto after = wall_counters("fw", names);
-  obs::set_metrics_enabled(metrics_were_on);
-
-  const std::map<std::string, double> pred = predict_fw_phase_seconds(sys, cfg);
-  const auto sim_busy = rec.busy_by_label();
-
-  DriftReport rep;
-  rep.design = res.run.design;
-  rep.predicted_latency_s = predict_fw(sys, cfg).latency_seconds();
-  rep.simulated_makespan_s = res.run.seconds;
-  rep.measured_wall_s = wall;
-  for (const auto& name : names) {
-    rep.phases.push_back(make_phase(name, pred.at(name), sim_busy,
-                                    before.at(name), after.at(name)));
-  }
-  attach_overlap(rep.phases, res.overlap);
-  if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
-  rep.faults = res.faults;
-  rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
-  return rep;
+  return traced_drift(
+      "fw", {"op1", "op21", "op22", "op3"}, predict_fw_phase_seconds(sys, cfg),
+      predict_fw(sys, cfg).latency_seconds(), sys.p,
+      [&](sim::TraceRecorder* rec) {
+        return fw_functional(sys, cfg, d0, false, rec);
+      });
 }
 
 void DriftReport::write_json(std::ostream& os, int indent) const {

@@ -8,20 +8,6 @@ namespace rcs::core {
 
 namespace {
 
-long long resolve_l1(const SystemParams& sys, const FwConfig& cfg,
-                     long long ops_per_phase) {
-  if (cfg.l1 >= 0) return cfg.l1;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      return solve_fw_partition(sys, cfg.n, cfg.b).l1;
-    case DesignMode::ProcessorOnly:
-      return ops_per_phase;
-    case DesignMode::FpgaOnly:
-      return 0;
-  }
-  return ops_per_phase;
-}
-
 /// One node's latency for a wave of l1 CPU tasks and l2 FPGA tasks. The
 /// FPGA tasks are streamed first (the CPU is busy for T_mem per task, the
 /// FPGA pipelines behind the stream), then the CPU runs its own tasks.
@@ -39,14 +25,11 @@ double wave_seconds(const FwPartition& part) {
 }  // namespace
 
 FwAnalyticReport fw_analytic(const SystemParams& sys, const FwConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0, "n and b must be positive");
-  RCS_CHECK_MSG(cfg.n % (cfg.b * sys.p) == 0,
-                "Floyd-Warshall layout needs b*p | n");
+  check_fw_config(sys, cfg.n, cfg.b);
 
   FwAnalyticReport rep;
-  const FwPartition probe = fw_partition_at(sys, cfg.n, cfg.b, 0);
-  const long long l1 = resolve_l1(sys, cfg, probe.ops_per_phase);
-  rep.partition = fw_partition_at(sys, cfg.n, cfg.b, l1);
+  rep.partition = fw_partition_at(
+      sys, cfg.n, cfg.b, resolve_l1(sys, cfg.mode, cfg.n, cfg.b, cfg.l1));
   const FwPartition& part = rep.partition;
 
   const long long nb = cfg.n / cfg.b;

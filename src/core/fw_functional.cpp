@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "core/harness.hpp"
 #include "fpga/fw_kernel.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "net/matrix_channel.hpp"
@@ -21,24 +22,8 @@ namespace {
 
 using linalg::Matrix;
 
-enum class Chan : int { Dtt = 1, Op22 = 2, Gather = 3 };
-
-int make_tag(Chan chan, long long t, long long w) {
-  RCS_CHECK_MSG(t < (1 << 9) && w < (1 << 18), "tag space exceeded");
-  return static_cast<int>((t << 21) | (w << 3) | static_cast<long long>(chan));
-}
-
-struct RankStats {
-  sim::SimTime finish = 0.0;
-  double cpu_busy = 0.0;
-  double fpga_busy = 0.0;
-  double cpu_flops = 0.0;
-  double fpga_flops = 0.0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t coordination = 0;
-  std::map<std::string, net::OverlapStats> overlap;
-  sim::FaultStats faults;
-};
+/// Message channels of the schedule (the low bits of block_tag).
+enum Chan : int { Dtt = 1, Op22 = 2, Gather = 3 };
 
 /// One block task of a wave: target = min(target, a (min-plus) b), plus its
 /// timing charge, assignable to either side. Holding the operand spans
@@ -68,8 +53,7 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                                  const Matrix& d0, bool use_soft_fp,
                                  sim::TraceRecorder* trace,
                                  std::vector<net::MessageEvent>* message_log) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0, "n and b must be positive");
-  RCS_CHECK_MSG(cfg.n % (cfg.b * sys.p) == 0, "FW layout needs b*p | n");
+  check_fw_config(sys, cfg.n, cfg.b);
   RCS_CHECK_MSG(d0.rows() == static_cast<std::size_t>(cfg.n) &&
                     d0.cols() == static_cast<std::size_t>(cfg.n),
                 "input matrix shape mismatch");
@@ -80,26 +64,15 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
   const int p = sys.p;
   const long long cols_per_rank = nb / p;  // L: block-columns per rank
 
-  // Resolve the per-phase split exactly like the analytic plane.
-  long long l1 = cfg.l1;
-  if (l1 < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid:
-        l1 = solve_fw_partition(sys, n, b).l1;
-        break;
-      case DesignMode::ProcessorOnly: l1 = cols_per_rank; break;
-      case DesignMode::FpgaOnly: l1 = 0; break;
-    }
-  }
-  const FwPartition part = fw_partition_at(sys, n, b, l1);
+  const FwPartition part =
+      fw_partition_at(sys, n, b, resolve_l1(sys, cfg.mode, n, b, cfg.l1));
 
   const fpga::FwKernel kernel(sys.fw_fpga);
   kernel.require_fits(b);
 
-  // Fault injection/tolerance switches (see FwConfig): an empty plan is the
-  // fault-free path, and DMR only engages on FPGA-assigned wave tasks.
-  const sim::FaultPlan* plan =
-      cfg.faults != nullptr && !cfg.faults->empty() ? cfg.faults : nullptr;
+  // Fault injection/tolerance switches (see FwConfig): DMR only engages on
+  // FPGA-assigned wave tasks.
+  const sim::FaultPlan* plan = cfg.faults;
   const bool inject = plan != nullptr && plan->bitflip_count() > 0;
   const bool dmr = cfg.fault_tolerance;
   const double task_flops = 2.0 * static_cast<double>(b) *
@@ -107,34 +80,20 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
   const double task_cycles = static_cast<double>(kernel.cycles(b));
   const std::uint64_t task_bytes = kernel.input_bytes(b);
 
-  // Spawn the shared compute pool before the rank threads exist, so every
-  // rank's kernels land on one process-wide worker set (no p-fold thread
-  // oversubscription) and never race the pool's lazy construction.
-  common::ThreadPool::global();
-
-  net::World world(p, sys.network);
-  world.set_message_logging(message_log != nullptr);
-  world.set_fault_plan(plan);
-  world.set_max_workers(cfg.max_workers);
-  std::vector<RankStats> stats(static_cast<std::size_t>(p));
-  std::vector<sim::TraceRecorder> rank_traces(
-      static_cast<std::size_t>(p),
-      sim::TraceRecorder(trace != nullptr && trace->enabled()));
   Matrix distances(n, n);
 
-  world.run([&](net::Comm& comm) {
+  // The timed schedule of one rank; `local` holds its block-columns,
+  // densely packed.
+  auto compute = [&](Rank& rank, Matrix& local) {
+    net::Comm& comm = rank.comm;
+    node::ComputeNode& node = rank.node;
+    sim::FaultStats& fstats = rank.faults;
     const int me = comm.rank();
-    comm.set_trace(&rank_traces[static_cast<std::size_t>(me)]);
-    node::ComputeNode node(sys.node_params_fw(), comm.clock(),
-                           &rank_traces[static_cast<std::size_t>(me)],
-                           "node" + std::to_string(me));
-    sim::FaultStats& fstats = stats[static_cast<std::size_t>(me)].faults;
-    node.set_faults(plan, me, &fstats);
+    comm.set_trace(&rank.trace);
     std::uint64_t fpga_calls = 0;  // rank-local FPGA wave-task ordinal
 
-    // Local storage: this rank's block-columns, densely packed.
     const long long col0 = me * cols_per_rank;  // first owned block-column
-    Matrix local(n, cols_per_rank * b);
+    local = Matrix(n, cols_per_rank * b);
     linalg::copy(d0.block(0, col0 * b, n, cols_per_rank * b), local.view());
     auto lblk = [&](long long q, long long c) {
       RCS_DASSERT(c >= col0 && c < col0 + cols_per_rank);
@@ -250,19 +209,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       tasks.clear();
     };
 
-    // Owner-side broadcast of one packed block: the same payload goes to
-    // every peer, over the NIC under lookahead, else on the CPU.
-    auto fan_out = [&](int tag, const net::Payload& packed) {
-      for (int r = 0; r < p; ++r) {
-        if (r == comm.rank()) continue;
-        if (cfg.lookahead) {
-          comm.isend_payload(r, tag, packed);
-        } else {
-          comm.send_payload(r, tag, packed);
-        }
-      }
-    };
-
     // Lookahead: the receive for iteration t+1's D_tt is posted while
     // iteration t's waves still compute, so the next pivot block streams in
     // behind the current trailing update.
@@ -296,11 +242,11 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         // NIC fan-out under lookahead: the owner's CPU pays setup only and
         // moves on to its op21/op22 wave while the RapidArray engines
         // serialize.
-        fan_out(make_tag(Chan::Dtt, t, 0), dtt.payload());
+        fan_out(comm, {{block_tag(Dtt, t, 0), dtt.payload()}}, cfg.lookahead);
       } else if (cfg.lookahead && dtt_req.valid()) {
         dtt = net::wait_matrix_view(dtt_req);
       } else {
-        dtt = net::recv_matrix_view(comm, owner, make_tag(Chan::Dtt, t, 0),
+        dtt = net::recv_matrix_view(comm, owner, block_tag(Dtt, t, 0),
                                     "op21");
       }
       // Prefetch the next iteration's pivot diagonal: posting is free, and
@@ -309,7 +255,7 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       if (cfg.lookahead && t + 1 < nb) {
         const int next_owner = static_cast<int>((t + 1) / cols_per_rank);
         if (me != next_owner) {
-          dtt_req = comm.irecv(next_owner, make_tag(Chan::Dtt, t + 1, 0),
+          dtt_req = comm.irecv(next_owner, block_tag(Dtt, t + 1, 0),
                                "op21");
         }
       }
@@ -338,7 +284,7 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       // op21 wave computes, so the owner's broadcast streams in behind it.
       net::Request dqt_req;
       if (cfg.lookahead && me != owner && !q_list.empty()) {
-        dqt_req = comm.irecv(owner, make_tag(Chan::Op22, t, 0), "op3");
+        dqt_req = comm.irecv(owner, block_tag(Op22, t, 0), "op3");
       }
       run_wave(tasks);
       // The owner's latest op22 block, packed once: broadcast to every
@@ -347,7 +293,7 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       net::MatrixMsg op22;
       if (me == owner && !q_list.empty()) {
         op22 = net::MatrixMsg(net::pack_matrix(lblk(q_list.front(), t)));
-        fan_out(make_tag(Chan::Op22, t, 0), op22.payload());
+        fan_out(comm, {{block_tag(Op22, t, 0), op22.payload()}}, cfg.lookahead);
       }
 
       // Waves 1..nb-1: op3 on row q_w; the owner folds the next op22 into
@@ -363,13 +309,13 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
           // op3 tasks compute below.
           if (w + 1 < q_list.size()) {
             dqt_req = comm.irecv(owner,
-                                 make_tag(Chan::Op22, t,
+                                 block_tag(Op22, t,
                                           static_cast<long long>(w + 1)),
                                  "op3");
           }
         } else {
           dqt = net::recv_matrix_view(comm, owner,
-                                      make_tag(Chan::Op22, t,
+                                      block_tag(Op22, t,
                                                static_cast<long long>(w)),
                                       "op3");
         }
@@ -387,8 +333,10 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         run_wave(tasks);
         if (me == owner && w + 1 < q_list.size()) {
           op22 = net::MatrixMsg(net::pack_matrix(lblk(q_list[w + 1], t)));
-          fan_out(make_tag(Chan::Op22, t, static_cast<long long>(w + 1)),
-                  op22.payload());
+          fan_out(comm,
+                  {{block_tag(Op22, t, static_cast<long long>(w + 1)),
+                    op22.payload()}},
+                  cfg.lookahead);
         }
       }
       // The barrier only serializes the blocking schedule; under lookahead
@@ -396,58 +344,38 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       // rank's own data dependencies order its work.
       if (!cfg.lookahead) comm.barrier();
     }
+  };
 
-    // Stop comm tracing so the untimed gather stays out of the analyzed
-    // timeline.
-    comm.set_trace(nullptr);
-    RankStats& st = stats[static_cast<std::size_t>(me)];
-    st.finish = comm.clock().now();
-    st.cpu_busy = node.cpu_busy_total();
-    st.fpga_busy = node.fpga_busy_total();
-    st.cpu_flops = node.cpu_flops_total();
-    st.fpga_flops = node.fpga_flops_total();
-    st.bytes_sent = comm.bytes_sent();
-    st.coordination = node.coordination_events();
-    st.overlap = comm.overlap_stats();
-    st.faults += comm.fault_stats();  // link/crash side of the plan
-
-    // Untimed gather of the block-columns at rank 0.
+  // Untimed gather of the block-columns at rank 0.
+  auto gather = [&](Rank& rank, Matrix& local) {
+    net::Comm& comm = rank.comm;
     obs::PhaseSpan phase("fw", "gather");
-    if (me == 0) {
+    if (comm.rank() == 0) {
       linalg::copy(local.view(), distances.block(0, 0, n, cols_per_rank * b));
       for (int r = 1; r < p; ++r) {
-        Matrix cols = net::recv_matrix(comm, r, make_tag(Chan::Gather, 0, r));
+        Matrix cols = net::recv_matrix(comm, r, block_tag(Gather, 0, r));
         linalg::copy(cols.view(),
                      distances.block(0, r * cols_per_rank * b, n,
                                      cols_per_rank * b));
       }
     } else {
-      net::send_matrix(comm, 0, make_tag(Chan::Gather, 0, me), local.view());
+      net::send_matrix(comm, 0, block_tag(Gather, 0, comm.rank()),
+                       local.view());
     }
-  });
+  };
 
-  if (trace != nullptr) {
-    for (auto& rt : rank_traces) trace->merge_from(std::move(rt));
-  }
-  if (message_log != nullptr) *message_log = world.message_log();
+  const RankTotals totals = run_ranks<Matrix>(
+      sys, sys.node_params_fw(), {plan, cfg.max_workers, message_log}, trace,
+      compute, gather);
 
   FwFunctionalResult res;
   res.distances = std::move(distances);
-  res.partition = part;
+  res.run = totals.run;
   res.run.design = std::string("FW/") + to_string(cfg.mode) + "/functional" +
                    (cfg.lookahead ? "+lookahead" : "");
-  for (const RankStats& st : stats) {
-    res.run.seconds = std::max(res.run.seconds, st.finish);
-    res.run.cpu_busy_seconds += st.cpu_busy;
-    res.run.fpga_busy_seconds += st.fpga_busy;
-    res.run.cpu_flops += st.cpu_flops;
-    res.run.fpga_flops += st.fpga_flops;
-    res.run.bytes_on_network += st.bytes_sent;
-    res.run.coordination_events += st.coordination;
-    for (const auto& [ph, os] : st.overlap) res.overlap[ph] += os;
-    res.faults += st.faults;
-  }
-  res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
+  res.partition = part;
+  res.overlap = totals.overlap;
+  res.faults = totals.faults;
   return res;
 }
 

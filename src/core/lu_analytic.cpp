@@ -7,102 +7,17 @@
 
 namespace rcs::core {
 
-namespace {
-
-/// Mode-resolved per-opMM quantities for the schedule walk.
-struct OpmmCosts {
-  double worker_seconds = 0.0;  // one worker's latency per opMM
-  double sender_seconds = 0.0;  // panel-node CPU time to distribute one opMM
-  double worker_post = 0.0;     // result return + amortized opMS per opMM
-  double cpu_flops = 0.0;       // CPU flops per opMM (all workers combined)
-  double fpga_flops = 0.0;      // FPGA flops per opMM (all workers combined)
-  std::uint64_t sender_bytes = 0;  // network bytes per opMM from the panel
-  std::uint64_t result_bytes = 0;  // network bytes per opMM back to owners
-};
-
-OpmmCosts opmm_costs(const SystemParams& sys, const LuConfig& cfg,
-                     const MmPartition& part) {
-  const long long b = cfg.b;
-  const long long k = sys.mm_fpga.pe_count;
-  const double p1 = static_cast<double>(sys.p - 1);
-  const double stripes = static_cast<double>(b) / static_cast<double>(k);
-  const double b2 = static_cast<double>(b) * static_cast<double>(b);
-  const double b3 = b2 * static_cast<double>(b);
-  const double r_gemm = sys.gpp.sustained(node::CpuKernel::Dgemm);
-  const double r_mem = sys.gpp.sustained(node::CpuKernel::MemBound);
-
-  OpmmCosts c;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      c.worker_seconds = stripes * part.stripe_period_seconds();
-      break;
-    case DesignMode::ProcessorOnly:
-      // Plain dgemm of the worker's column share; no striping, no FPGA.
-      c.worker_seconds = 2.0 * b3 / (p1 * r_gemm);
-      break;
-    case DesignMode::FpgaOnly:
-      // The CPU only streams operands; the FPGA computes everything.
-      c.worker_seconds =
-          stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
-      break;
-  }
-
-  const double dest = cfg.fanout == SendFanout::SerialAll
-                          ? static_cast<double>(sys.p - 1)
-                          : 1.0;
-  c.sender_seconds = stripes * part.t_comm_stripe * dest;
-  c.sender_bytes = static_cast<std::uint64_t>(
-      stripes * 2.0 * static_cast<double>(b) * static_cast<double>(k) *
-      kWordBytes * static_cast<double>(sys.p - 1));
-
-  // Each worker returns its b x b/(p-1) slice of E to the block owner, then
-  // the owner's opMS (b^2 subtractions) is amortized across the workers.
-  c.result_bytes = static_cast<std::uint64_t>(b2 * kWordBytes);
-  const double e_send = static_cast<double>(b) * (static_cast<double>(b) / p1) *
-                        kWordBytes / sys.network.bytes_per_s;
-  const double opms = (b2 / p1) / r_mem;
-  c.worker_post = e_send + opms;
-
-  const double total_flops = 2.0 * b3;  // one opMM
-  const double fpga_share =
-      cfg.mode == DesignMode::ProcessorOnly
-          ? 0.0
-          : (cfg.mode == DesignMode::FpgaOnly
-                 ? 1.0
-                 : static_cast<double>(part.b_f) / static_cast<double>(b));
-  c.fpga_flops = total_flops * fpga_share;
-  c.cpu_flops = total_flops - c.fpga_flops;
-  return c;
-}
-
-long long resolve_bf(const SystemParams& sys, const LuConfig& cfg) {
-  if (cfg.b_f >= 0) return cfg.b_f;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      return solve_mm_partition(sys, cfg.b).b_f;
-    case DesignMode::ProcessorOnly:
-      return 0;
-    case DesignMode::FpgaOnly:
-      return cfg.b;
-  }
-  return 0;
-}
-
-}  // namespace
-
 LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
-                "LU requires b | n (n = " << cfg.n << ", b = " << cfg.b << ")");
-  RCS_CHECK_MSG(sys.p >= 2, "the distributed LU design needs p >= 2");
+  check_lu_config(sys, cfg.n, cfg.b);
 
   LuAnalyticReport rep;
-  rep.partition = mm_partition_at(sys, cfg.b, resolve_bf(sys, cfg));
+  rep.partition = mm_partition_at(sys, cfg.b,
+                                  resolve_bf(sys, cfg.mode, cfg.b, cfg.b_f));
   rep.interleave =
       solve_lu_interleave(sys, cfg.b, rep.partition, cfg.fanout);
   int l = cfg.l >= 0 ? cfg.l : rep.interleave.l;
   rep.interleave.l = l;
 
-  const OpmmCosts costs = opmm_costs(sys, cfg, rep.partition);
   const PanelTimes pt = panel_times(sys, cfg.b);
   const long long nb = cfg.n / cfg.b;
   const long long iterations =
@@ -110,6 +25,24 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
                               : nb;
   const double b2 = static_cast<double>(cfg.b) * static_cast<double>(cfg.b);
   const double b3 = b2 * static_cast<double>(cfg.b);
+
+  // Per-opMM costs: one worker's share, the panel's stripe distribution,
+  // the worker's E return plus amortized opMS, and flops/bytes summed over
+  // the workers. Each worker returns its b x b/(p-1) slice of E to the
+  // block owner.
+  const MmPartition& part = rep.partition;
+  const double worker_s = worker_opmm_seconds(sys, cfg.mode, part);
+  const double sender_s = sender_opmm_seconds(sys, part, cfg.fanout);
+  const double post_s = opmm_return_seconds(sys, cfg.b);
+  const double opmm_fpga_flops = 2.0 * b3 * opmm_fpga_share(cfg.mode, part);
+  const double opmm_cpu_flops = 2.0 * b3 - opmm_fpga_flops;
+  const long long k = sys.mm_fpga.pe_count;
+  const double stripes = static_cast<double>(cfg.b) / static_cast<double>(k);
+  const std::uint64_t sender_bytes = static_cast<std::uint64_t>(
+      stripes * 2.0 * static_cast<double>(cfg.b) * static_cast<double>(k) *
+      kWordBytes * static_cast<double>(sys.p - 1));
+  const std::uint64_t result_bytes =
+      static_cast<std::uint64_t>(b2 * kWordBytes);
 
   rep.run.design = std::string("LU/") + to_string(cfg.mode);
   double now = 0.0;
@@ -137,9 +70,9 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
     const long long total_opmm = m * m;
     auto serve = [&](long long count) {
       for (long long s = 0; s < count && served < ready; ++s) {
-        panel += costs.sender_seconds;  // distribute stripes
+        panel += sender_s;  // distribute stripes
         const double start = std::max(worker, panel);
-        worker = start + costs.worker_seconds + costs.worker_post;
+        worker = start + worker_s + post_s;
         if (!first_opmm_recorded) {
           // opMM #1 is (t+1, t+1): the next panel's diagonal block.
           diag_ready = worker;
@@ -159,16 +92,16 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
     RCS_CHECK(ready == total_opmm);
     serve(total_opmm - served);  // drain whatever remains
 
-    rep.run.cpu_flops += static_cast<double>(total_opmm) * costs.cpu_flops;
-    rep.run.fpga_flops += static_cast<double>(total_opmm) * costs.fpga_flops;
+    rep.run.cpu_flops += static_cast<double>(total_opmm) * opmm_cpu_flops;
+    rep.run.fpga_flops += static_cast<double>(total_opmm) * opmm_fpga_flops;
     rep.run.cpu_flops += static_cast<double>(total_opmm) * b2;  // opMS
     rep.run.bytes_on_network += static_cast<std::uint64_t>(total_opmm) *
-                                (costs.sender_bytes + costs.result_bytes);
+                                (sender_bytes + result_bytes);
     // Two coordination events (start + done) per stripe per worker node.
     if (cfg.mode != DesignMode::ProcessorOnly) {
       rep.run.coordination_events +=
           static_cast<std::uint64_t>(total_opmm) *
-          static_cast<std::uint64_t>(cfg.b / sys.mm_fpga.pe_count) * 2u *
+          static_cast<std::uint64_t>(cfg.b / k) * 2u *
           static_cast<std::uint64_t>(sys.p - 1);
     }
 
@@ -194,25 +127,19 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
   rep.run.cpu_busy_seconds = rep.panel_busy_seconds +
                              rep.worker_busy_seconds *
                                  static_cast<double>(sys.p - 1);
-  rep.run.fpga_busy_seconds =
-      cfg.mode == DesignMode::ProcessorOnly
-          ? 0.0
-          : rep.run.fpga_flops / sys.mm_fpga.peak_flops();
+  rep.run.fpga_busy_seconds = rep.run.fpga_flops / sys.mm_fpga.peak_flops();
   return rep;
 }
 
 double lu_single_opmm_latency(const SystemParams& sys, long long b,
                               long long b_f, SendFanout fanout) {
-  LuConfig cfg;
-  cfg.n = b;  // unused by opmm_costs
-  cfg.b = b;
-  cfg.mode = b_f == 0 ? DesignMode::ProcessorOnly : DesignMode::Hybrid;
-  cfg.fanout = fanout;
+  const DesignMode mode =
+      b_f == 0 ? DesignMode::ProcessorOnly : DesignMode::Hybrid;
   const MmPartition part = mm_partition_at(sys, b, b_f);
-  const OpmmCosts costs = opmm_costs(sys, cfg, part);
   // One opMM with a cold pipeline: the workers start once the stripes are on
   // the wire, then compute.
-  return costs.sender_seconds + costs.worker_seconds + costs.worker_post;
+  return sender_opmm_seconds(sys, part, fanout) +
+         worker_opmm_seconds(sys, mode, part) + opmm_return_seconds(sys, b);
 }
 
 }  // namespace rcs::core

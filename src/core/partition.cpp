@@ -130,10 +130,7 @@ LuInterleave solve_lu_interleave(const SystemParams& sys, long long b,
 
   LuInterleave li;
   li.panel_op_seconds = std::max({pt.t_lu, pt.t_opl, pt.t_opu});
-  const double dest = fanout == SendFanout::SerialAll
-                          ? static_cast<double>(sys.p - 1)
-                          : 1.0;
-  li.sender_per_opmm = stripes * part.t_comm_stripe * dest;
+  li.sender_per_opmm = sender_opmm_seconds(sys, part, fanout);
   li.worker_per_opmm = stripes * part.stripe_period_seconds();
   const double denom = li.worker_per_opmm - li.sender_per_opmm;
   if (denom <= 0.0) {
@@ -157,10 +154,7 @@ namespace {
 
 FwPartition evaluate_fw(const SystemParams& sys, long long n, long long b,
                         long long l1) {
-  RCS_CHECK_MSG(b > 0 && n > 0, "n and b must be positive");
-  RCS_CHECK_MSG(n % (b * sys.p) == 0,
-                "Floyd-Warshall layout needs b*p | n (n = " << n << ", b = "
-                    << b << ", p = " << sys.p << ")");
+  check_fw_config(sys, n, b);
   const auto& dev = sys.fw_fpga;
   const double b2 = static_cast<double>(b) * static_cast<double>(b);
   const double b3 = b2 * static_cast<double>(b);
@@ -203,6 +197,123 @@ FwPartition solve_fw_partition(const SystemParams& sys, long long n,
   }
   l1 = std::clamp<long long>(l1, 0, probe.ops_per_phase);
   return evaluate_fw(sys, n, b, l1);
+}
+
+void check_lu_config(const SystemParams& sys, long long n, long long b) {
+  RCS_CHECK_MSG(n > 0 && b > 0 && n % b == 0,
+                "LU requires b | n (n = " << n << ", b = " << b << ")");
+  RCS_CHECK_MSG(sys.p >= 2, "the distributed LU design needs p >= 2");
+}
+
+void check_fw_config(const SystemParams& sys, long long n, long long b) {
+  RCS_CHECK_MSG(n > 0 && b > 0, "n and b must be positive");
+  RCS_CHECK_MSG(n % (b * sys.p) == 0,
+                "Floyd-Warshall layout needs b*p | n (n = " << n << ", b = "
+                    << b << ", p = " << sys.p << ")");
+}
+
+void check_chol_config(const SystemParams& sys, long long n, long long b) {
+  RCS_CHECK_MSG(n > 0 && b > 0 && n % b == 0,
+                "cholesky requires b | n (n = " << n << ", b = " << b << ")");
+  RCS_CHECK_MSG(sys.p >= 2, "the distributed design needs p >= 2");
+}
+
+void check_mm_config(long long n, long long b) {
+  RCS_CHECK_MSG(n > 0 && b > 0 && n % b == 0,
+                "mm requires b | n (n = " << n << ", b = " << b << ")");
+}
+
+long long resolve_bf(const SystemParams& sys, DesignMode mode, long long b,
+                     long long override_bf) {
+  if (override_bf >= 0) return override_bf;
+  switch (mode) {
+    case DesignMode::Hybrid: return solve_mm_partition(sys, b).b_f;
+    case DesignMode::ProcessorOnly: return 0;
+    case DesignMode::FpgaOnly: return b;
+  }
+  return 0;
+}
+
+long long resolve_l1(const SystemParams& sys, DesignMode mode, long long n,
+                     long long b, long long override_l1) {
+  if (override_l1 >= 0) return override_l1;
+  switch (mode) {
+    case DesignMode::Hybrid: return solve_fw_partition(sys, n, b).l1;
+    case DesignMode::ProcessorOnly: return n / (b * sys.p);
+    case DesignMode::FpgaOnly: return 0;
+  }
+  return 0;
+}
+
+double worker_opmm_seconds(const SystemParams& sys, DesignMode mode,
+                           const MmPartition& part) {
+  const double stripes = static_cast<double>(part.b) /
+                         static_cast<double>(sys.mm_fpga.pe_count);
+  const double workers = sys.p >= 2 ? static_cast<double>(sys.p - 1) : 1.0;
+  const double b3 = static_cast<double>(part.b) * static_cast<double>(part.b) *
+                    static_cast<double>(part.b);
+  switch (mode) {
+    case DesignMode::Hybrid:
+      return stripes * part.stripe_period_seconds();
+    case DesignMode::ProcessorOnly:
+      // Plain dgemm of the worker's column share; no striping, no FPGA.
+      return 2.0 * b3 /
+             (workers * sys.gpp.sustained(node::CpuKernel::Dgemm));
+    case DesignMode::FpgaOnly:
+      // The CPU only streams operands; the FPGA computes everything.
+      return stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
+  }
+  return 0.0;
+}
+
+double sender_opmm_seconds(const SystemParams& sys, const MmPartition& part,
+                           SendFanout fanout) {
+  const double stripes = static_cast<double>(part.b) /
+                         static_cast<double>(sys.mm_fpga.pe_count);
+  const double dest = fanout == SendFanout::SerialAll
+                          ? static_cast<double>(sys.p - 1)
+                          : 1.0;
+  return stripes * part.t_comm_stripe * dest;
+}
+
+double opmm_return_seconds(const SystemParams& sys, long long b) {
+  const double p1 = static_cast<double>(sys.p - 1);
+  const double bd = static_cast<double>(b);
+  const double e_send = bd * (bd / p1) * kWordBytes / sys.network.bytes_per_s;
+  const double opms =
+      (bd * bd / p1) / sys.gpp.sustained(node::CpuKernel::MemBound);
+  return e_send + opms;
+}
+
+double opmm_fpga_share(DesignMode mode, const MmPartition& part) {
+  switch (mode) {
+    case DesignMode::Hybrid:
+      return static_cast<double>(part.b_f) / static_cast<double>(part.b);
+    case DesignMode::ProcessorOnly: return 0.0;
+    case DesignMode::FpgaOnly: return 1.0;
+  }
+  return 0.0;
+}
+
+std::pair<long long, long long> worker_columns(long long b, int p, int root,
+                                               int rank) {
+  const int workers = p - 1;
+  const int w = rank < root ? rank : rank - 1;  // index among the workers
+  const long long base = b / workers;
+  const long long rem = b % workers;
+  const long long c0 = w * base + std::min<long long>(w, rem);
+  return {c0, c0 + base + (w < rem ? 1 : 0)};
+}
+
+int owner_of(long long u, long long v, int p) {
+  return static_cast<int>(std::min(u, v) % p);
+}
+
+int block_tag(int chan, long long t, long long j) {
+  RCS_CHECK_MSG(t < (1 << 9) && j < (1 << 18),
+                "functional plane tag space exceeded (t=" << t << ", j=" << j
+                                                          << ")");
+  return static_cast<int>((t << 21) | (j << 3) | chan);
 }
 
 }  // namespace rcs::core

@@ -26,6 +26,8 @@
 // and Eq. 1 show the intended term is D_f / B_d, which is what these solvers
 // implement.
 
+#include <utility>
+
 #include "core/design.hpp"
 #include "core/system.hpp"
 
@@ -108,5 +110,55 @@ struct PanelTimes {
   double t_opu = 0.0;  // opU:  b^3 flops at the dtrsm rate
 };
 PanelTimes panel_times(const SystemParams& sys, long long b);
+
+// ---- Decisions every application shares, on both planes. ----
+
+/// Reject a configuration the application's design cannot run (throws
+/// rcs::Error with a user-facing message). One check per application; its
+/// analytic plane, functional plane and predictor all call it.
+void check_lu_config(const SystemParams& sys, long long n, long long b);
+void check_fw_config(const SystemParams& sys, long long n, long long b);
+void check_chol_config(const SystemParams& sys, long long n, long long b);
+void check_mm_config(long long n, long long b);
+
+/// The FPGA row share b_f in effect: `override_bf` when >= 0, else per mode
+/// (Eq. 4 for hybrid, 0 for processor-only, b for FPGA-only).
+long long resolve_bf(const SystemParams& sys, DesignMode mode, long long b,
+                     long long override_bf);
+
+/// The Floyd–Warshall CPU task count l1 in effect: `override_l1` when
+/// >= 0, else per mode (Eq. 6 for hybrid, all n/(b*p) tasks for
+/// processor-only, 0 for FPGA-only).
+long long resolve_l1(const SystemParams& sys, DesignMode mode, long long n,
+                     long long b, long long override_l1);
+
+/// One worker's latency for one b x b opMM — its column share of the p-1
+/// workers, or the whole product when p == 1 — under `mode`.
+double worker_opmm_seconds(const SystemParams& sys, DesignMode mode,
+                           const MmPartition& part);
+
+/// Panel-node time to distribute one opMM's stripes under `fanout`.
+double sender_opmm_seconds(const SystemParams& sys, const MmPartition& part,
+                           SendFanout fanout);
+
+/// One worker's per-opMM tail: returning its E share to the block owner
+/// plus its amortized part of the owner's opMS.
+double opmm_return_seconds(const SystemParams& sys, long long b);
+
+/// Fraction of opMM flops the FPGAs execute under `mode`.
+double opmm_fpga_share(DesignMode mode, const MmPartition& part);
+
+/// Columns [c0, c1) of a b-wide block that `rank` computes when the p-1
+/// ranks other than `root` split the columns as evenly as possible.
+std::pair<long long, long long> worker_columns(long long b, int p, int root,
+                                               int rank);
+
+/// Owner of block (u, v) under the paper's frame distribution: rank
+/// min(u, v) mod p, so iteration t's whole panel lives on rank t mod p.
+int owner_of(long long u, long long v, int p);
+
+/// Message tag of the LU, FW and Cholesky schedules: iteration t (< 2^9),
+/// sequence number j (< 2^18) and channel chan (< 8).
+int block_tag(int chan, long long t, long long j);
 
 }  // namespace rcs::core

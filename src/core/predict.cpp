@@ -7,17 +7,9 @@
 namespace rcs::core {
 
 Prediction predict_lu(const SystemParams& sys, const LuConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
-                "LU prediction requires b | n");
-  long long b_f = cfg.b_f;
-  if (b_f < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid: b_f = solve_mm_partition(sys, cfg.b).b_f; break;
-      case DesignMode::ProcessorOnly: b_f = 0; break;
-      case DesignMode::FpgaOnly: b_f = cfg.b; break;
-    }
-  }
-  const MmPartition part = mm_partition_at(sys, cfg.b, b_f);
+  check_lu_config(sys, cfg.n, cfg.b);
+  const MmPartition part =
+      mm_partition_at(sys, cfg.b, resolve_bf(sys, cfg.mode, cfg.b, cfg.b_f));
   const PanelTimes pt = panel_times(sys, cfg.b);
   const long long nb = cfg.n / cfg.b;
   const long long k = sys.mm_fpga.pe_count;
@@ -57,17 +49,9 @@ Prediction predict_lu(const SystemParams& sys, const LuConfig& cfg) {
 
 std::map<std::string, double> predict_lu_phase_seconds(const SystemParams& sys,
                                                        const LuConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
-                "LU prediction requires b | n");
-  long long b_f = cfg.b_f;
-  if (b_f < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid: b_f = solve_mm_partition(sys, cfg.b).b_f; break;
-      case DesignMode::ProcessorOnly: b_f = 0; break;
-      case DesignMode::FpgaOnly: b_f = cfg.b; break;
-    }
-  }
-  const MmPartition part = mm_partition_at(sys, cfg.b, b_f);
+  check_lu_config(sys, cfg.n, cfg.b);
+  const MmPartition part =
+      mm_partition_at(sys, cfg.b, resolve_bf(sys, cfg.mode, cfg.b, cfg.b_f));
   const PanelTimes pt = panel_times(sys, cfg.b);
   const long long nb = cfg.n / cfg.b;
   const double stripes = static_cast<double>(cfg.b) /
@@ -100,20 +84,9 @@ std::map<std::string, double> predict_lu_phase_seconds(const SystemParams& sys,
 }
 
 Prediction predict_fw(const SystemParams& sys, const FwConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % (cfg.b * sys.p) == 0,
-                "FW prediction requires b*p | n");
-  long long l1 = cfg.l1;
-  const FwPartition probe = fw_partition_at(sys, cfg.n, cfg.b, 0);
-  if (l1 < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid:
-        l1 = solve_fw_partition(sys, cfg.n, cfg.b).l1;
-        break;
-      case DesignMode::ProcessorOnly: l1 = probe.ops_per_phase; break;
-      case DesignMode::FpgaOnly: l1 = 0; break;
-    }
-  }
-  const FwPartition part = fw_partition_at(sys, cfg.n, cfg.b, l1);
+  check_fw_config(sys, cfg.n, cfg.b);
+  const FwPartition part = fw_partition_at(
+      sys, cfg.n, cfg.b, resolve_l1(sys, cfg.mode, cfg.n, cfg.b, cfg.l1));
   const long long nb = cfg.n / cfg.b;
   const double b3 = static_cast<double>(cfg.b) * static_cast<double>(cfg.b) *
                     static_cast<double>(cfg.b);
@@ -132,20 +105,9 @@ Prediction predict_fw(const SystemParams& sys, const FwConfig& cfg) {
 
 std::map<std::string, double> predict_fw_phase_seconds(const SystemParams& sys,
                                                        const FwConfig& cfg) {
-  RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % (cfg.b * sys.p) == 0,
-                "FW prediction requires b*p | n");
-  long long l1 = cfg.l1;
-  const FwPartition probe = fw_partition_at(sys, cfg.n, cfg.b, 0);
-  if (l1 < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid:
-        l1 = solve_fw_partition(sys, cfg.n, cfg.b).l1;
-        break;
-      case DesignMode::ProcessorOnly: l1 = probe.ops_per_phase; break;
-      case DesignMode::FpgaOnly: l1 = 0; break;
-    }
-  }
-  const FwPartition part = fw_partition_at(sys, cfg.n, cfg.b, l1);
+  check_fw_config(sys, cfg.n, cfg.b);
+  const FwPartition part = fw_partition_at(
+      sys, cfg.n, cfg.b, resolve_l1(sys, cfg.mode, cfg.n, cfg.b, cfg.l1));
   const double nb = static_cast<double>(cfg.n / cfg.b);
   // Block tasks are scheduled whole: each wave runs l1 on the CPU and l2 on
   // the FPGA irrespective of the op21/op22/op3 label, so every labelled
