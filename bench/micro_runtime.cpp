@@ -1,40 +1,16 @@
-// Microbenchmarks of the simulation runtime: event-engine throughput,
-// timeline reservations, MiniMPI message latency/throughput, and the
-// analytic schedule simulators themselves (which every figure bench calls).
+// Microbenchmarks of the simulation runtime: MiniMPI message
+// latency/throughput and the analytic schedule simulators themselves (which
+// every figure bench calls).
 
 #include <benchmark/benchmark.h>
 
 #include "core/fw_analytic.hpp"
 #include "core/lu_analytic.hpp"
 #include "net/minimpi.hpp"
-#include "sim/engine.hpp"
 
 using namespace rcs;
 
 namespace {
-
-void BM_EngineScheduleRun(benchmark::State& state) {
-  const int events = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine eng;
-    for (int i = 0; i < events; ++i) {
-      eng.schedule(static_cast<double>((i * 7919) % events), [] {});
-    }
-    benchmark::DoNotOptimize(eng.run());
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
-
-void BM_TimelineReserve(benchmark::State& state) {
-  sim::Timeline tl;
-  double t = 0.0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tl.reserve(t, 1.0));
-    t += 0.5;
-  }
-}
-BENCHMARK(BM_TimelineReserve);
 
 void BM_MiniMpiPingPong(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));

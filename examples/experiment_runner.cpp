@@ -11,9 +11,13 @@
 //
 // Prints one row of results (or CSV with --csv) so runs compose in shell
 // loops; functional runs also verify the numerical result against the
-// sequential reference and fail loudly on any mismatch.
+// sequential reference and fail loudly on any mismatch. A configuration the
+// library rejects (say, b not dividing n) prints the reason to stderr and
+// exits with status 2.
 
 #include <iostream>
+#include <string>
+#include <string_view>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -38,9 +42,7 @@ struct Row {
   std::string verified = "-";
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("rcs-codesign experiment driver");
   cli.add_string("app", "lu", "application: lu | fw | chol | mm");
   cli.add_string("mode", "hybrid", "design: hybrid | cpu | fpga");
@@ -186,4 +188,22 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const rcs::Error& e) {
+    // The user-facing reason follows the source location and the failed
+    // expression, after the separator RCS_CHECK_MSG puts in front of it.
+    constexpr std::string_view kSep = " — ";
+    const std::string what = e.what();
+    const std::size_t at = what.find(kSep);
+    std::cerr << "experiment_runner: "
+              << (at == std::string::npos ? what : what.substr(at + kSep.size()))
+              << '\n';
+    return 2;
+  }
 }

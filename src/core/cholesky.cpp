@@ -23,7 +23,6 @@ using linalg::Matrix;
 /// Message channels of the schedule (the low bits of block_tag).
 enum Chan : int { CBlock = 1, DBlock = 2, EShare = 3, Gather = 4 };
 
-
 /// Trailing tasks (u, v), u >= v, ordered by readiness: pair i of the panel
 /// (the trsm for row t+i) unlocks the tasks with max-index i.
 std::vector<std::pair<long long, long long>> opmm_order(long long t,

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace rcs::core {
 

@@ -42,7 +42,6 @@ std::vector<std::pair<long long, long long>> opmm_order(long long t,
   return order;
 }
 
-
 /// ABFT checksum scan of an FPGA opMM share E_f = C_f x D computed from
 /// zero. Both invariants are O(roundoff)-tight identities of the exact
 /// product: sum_i E(i, j) = (colsums of C_f) . D(:, j) and

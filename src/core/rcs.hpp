@@ -44,5 +44,4 @@
 #include "net/minimpi.hpp"
 #include "node/compute_node.hpp"
 #include "node/gpp.hpp"
-#include "sim/engine.hpp"
 #include "sim/trace.hpp"

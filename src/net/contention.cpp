@@ -27,12 +27,11 @@ ContentionReport analyze_contention(const std::vector<MessageEvent>& log,
   // (egress + ingress under PerNodeLinks); it completes when the slower
   // one is done — approximated by reserving them sequentially, which upper-
   // bounds store-and-forward behaviour.
-  std::map<std::string, sim::BandwidthLink> links;
-  auto link = [&](const std::string& key) -> sim::BandwidthLink& {
+  std::map<std::string, BandwidthLink> links;
+  auto link = [&](const std::string& key) -> BandwidthLink& {
     auto it = links.find(key);
     if (it == links.end()) {
-      it = links.emplace(key, sim::BandwidthLink(net.bytes_per_s,
-                                                 net.latency_s))
+      it = links.emplace(key, BandwidthLink(net.bytes_per_s, net.latency_s))
                .first;
     }
     return it->second;

@@ -18,9 +18,44 @@
 #include <vector>
 
 #include "net/minimpi.hpp"
-#include "sim/engine.hpp"
 
 namespace rcs::net {
+
+/// A link that serializes transfers at `bytes_per_s` with `latency_s` of
+/// per-message latency: a transfer submitted at `earliest` starts once the
+/// link is free.
+class BandwidthLink {
+ public:
+  BandwidthLink(double bytes_per_s, double latency_s = 0.0)
+      : bytes_per_s_(bytes_per_s), latency_s_(latency_s) {
+    RCS_CHECK_MSG(bytes_per_s > 0.0, "link bandwidth must be positive");
+    RCS_CHECK_MSG(latency_s >= 0.0, "link latency must be non-negative");
+  }
+
+  /// Time to move `bytes` once the link is free (latency + serialization).
+  SimTime transfer_time(std::uint64_t bytes) const {
+    return latency_s_ + static_cast<double>(bytes) / bytes_per_s_;
+  }
+
+  /// Occupy the link for a `bytes` transfer submitted at `earliest`.
+  /// Returns the completion time.
+  SimTime transfer(SimTime earliest, std::uint64_t bytes) {
+    const SimTime duration = transfer_time(bytes);
+    const SimTime start = earliest > free_at_ ? earliest : free_at_;
+    free_at_ = start + duration;
+    busy_total_ += duration;
+    return free_at_;
+  }
+
+  SimTime busy_total() const { return busy_total_; }
+  SimTime free_at() const { return free_at_; }
+
+ private:
+  double bytes_per_s_;
+  double latency_s_;
+  SimTime free_at_ = 0.0;
+  SimTime busy_total_ = 0.0;
+};
 
 /// Topology models for the replay.
 enum class LinkModel {

@@ -372,44 +372,18 @@ Message Comm::recv_retry(int src, int tag, SimTime timeout_s, int max_retries,
   RCS_CHECK_MSG(max_retries >= 0 && backoff >= 1.0,
                 "recv_retry needs max_retries >= 0 and backoff >= 1");
   check_crash();
-  if (gave_up != nullptr) *gave_up = false;
   obs::ScopedTimer span("recv", "net");
-
-  const SimTime wait_t0 = clock_.now();
-  bool peer_failed = false;
-  Message msg;
-  try {
-    msg = world_->take(rank_, src, tag);
-  } catch (const RankFailed&) {
-    peer_failed = true;
-  }
-  // Bounded retry with backoff, resolved against simulated arrival times:
-  // each retry extends the deadline by `backoff` times the previous grant.
+  // Each retry extends the deadline by `backoff` times the previous grant.
+  // Deadlines only grow, so the arrival fits some extension exactly when it
+  // fits the last one: resolve against the full budget, and a give-up
+  // leaves the clock at the last deadline.
   SimTime deadline = clock_.now() + timeout_s;
   SimTime grant = timeout_s;
-  int retries = 0;
-  while (!peer_failed && msg.arrival > deadline && retries < max_retries) {
+  for (int retry = 0; retry < max_retries; ++retry) {
     grant *= backoff;
     deadline += grant;
-    ++retries;
   }
-  if (peer_failed || msg.arrival > deadline) {
-    // Give up only after the full retry budget: the clock reflects every
-    // extension the caller was willing to grant.
-    while (retries < max_retries) {
-      grant *= backoff;
-      deadline += grant;
-      ++retries;
-    }
-    if (gave_up != nullptr) *gave_up = true;
-    fault_stats_.straggler_timeouts += 1;
-    sim::note_straggler_timeout();
-    clock_.advance_to(deadline);
-    note_recv_trace(peer_failed ? Message{} : msg, wait_t0, overlap_phase);
-    return peer_failed ? Message{} : msg;
-  }
-  finish_recv(msg, overlap_phase);
-  return msg;
+  return complete_recv_deadline(src, tag, deadline, gave_up, overlap_phase);
 }
 
 Request Comm::irecv(int src, int tag, const char* overlap_phase) {

@@ -36,7 +36,6 @@
 #include "common/error.hpp"
 #include "common/fiber.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
 
@@ -423,7 +422,8 @@ class Comm {
   /// advance the clock to its arrival.
   void finish_recv(const Message& msg, const char* overlap_phase);
 
-  /// Deadline variant shared by recv_deadline and Request::wait_deadline.
+  /// Deadline variant shared by recv_deadline, recv_retry and
+  /// Request::wait_deadline.
   Message complete_recv_deadline(int src, int tag, SimTime deadline,
                                  bool* timed_out, const char* overlap_phase);
 

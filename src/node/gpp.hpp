@@ -10,7 +10,7 @@
 #include <map>
 #include <string>
 
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace rcs::node {
 

@@ -29,7 +29,7 @@
 
 #include "common/rng.hpp"
 #include "common/span2d.hpp"
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace rcs::sim {
 

@@ -8,9 +8,10 @@
 #include <string>
 #include <vector>
 
-#include "sim/engine.hpp"
-
 namespace rcs::sim {
+
+/// Simulated time in seconds.
+using SimTime = double;
 
 /// One recorded busy interval on a named resource.
 struct TraceSpan {

@@ -1,4 +1,5 @@
-// Tests for message logging and the network-contention replay analyzer.
+// Tests for message logging, bandwidth links, and the network-contention
+// replay analyzer.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,25 @@ TEST(MessageLog, DisabledByDefault) {
     }
   });
   EXPECT_TRUE(world.message_log().empty());
+}
+
+TEST(BandwidthLink, TransferTimeIsLatencyPlusSerialization) {
+  net::BandwidthLink link(1e9, 1e-6);
+  EXPECT_DOUBLE_EQ(link.transfer_time(0), 1e-6);
+  EXPECT_DOUBLE_EQ(link.transfer_time(1'000'000), 1e-6 + 1e-3);
+}
+
+TEST(BandwidthLink, TransfersSerialize) {
+  net::BandwidthLink link(1e6);  // 1 MB/s
+  const double t1 = link.transfer(0.0, 1'000'000);  // 1 s
+  EXPECT_DOUBLE_EQ(t1, 1.0);
+  const double t2 = link.transfer(0.5, 500'000);  // queued until 1.0
+  EXPECT_DOUBLE_EQ(t2, 1.5);
+}
+
+TEST(BandwidthLink, RejectsNonPositiveBandwidth) {
+  EXPECT_THROW(net::BandwidthLink(0.0), rcs::Error);
+  EXPECT_THROW(net::BandwidthLink(1.0, -1.0), rcs::Error);
 }
 
 TEST(Contention, CrossbarAddsNothingForDistinctPairs) {

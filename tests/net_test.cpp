@@ -708,6 +708,25 @@ TEST(MiniMpiDeadline, RetryExtensionCatchesLateMessage) {
   });
 }
 
+// An arrival at 5.0 misses the first extension (3.0) and lands within the
+// second (7.0): the receive completes at the arrival, not at a deadline.
+TEST(MiniMpiDeadline, RetrySecondExtensionCatchesLateMessage) {
+  net::World world(2, fast_net());
+  world.run([](net::Comm& comm) {
+    if (comm.rank() == 0) {
+      comm.clock().advance(5.0);
+      comm.send_value(1, 3, 9);
+      return;
+    }
+    bool gave_up = true;
+    const net::Message m = comm.recv_retry(0, 3, 1.0, 2, 2.0, &gave_up);
+    EXPECT_FALSE(gave_up);
+    EXPECT_EQ(m.as<int>(), 9);
+    EXPECT_DOUBLE_EQ(comm.clock().now(), 5.0 + 4.0 / 1e9);
+    EXPECT_EQ(comm.fault_stats().straggler_timeouts, 0u);
+  });
+}
+
 // An arrival past every extension: the receiver exhausts the whole budget
 // and its clock lands on the final extended deadline (7.0).
 TEST(MiniMpiDeadline, RetryGivesUpAfterFullBudget) {

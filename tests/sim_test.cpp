@@ -1,5 +1,4 @@
-// Tests for the discrete-event core: event ordering and determinism,
-// resource timelines, bandwidth links, and trace recording.
+// Tests for the simulated-time trace recorder.
 
 #include <sstream>
 #include <string>
@@ -7,110 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/engine.hpp"
+#include "common/error.hpp"
 #include "sim/trace.hpp"
 
 namespace sim = rcs::sim;
 
 namespace {
-
-TEST(Engine, FiresInTimeOrder) {
-  sim::Engine eng;
-  std::vector<int> order;
-  eng.schedule(3.0, [&] { order.push_back(3); });
-  eng.schedule(1.0, [&] { order.push_back(1); });
-  eng.schedule(2.0, [&] { order.push_back(2); });
-  EXPECT_DOUBLE_EQ(eng.run(), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(eng.events_fired(), 3u);
-}
-
-TEST(Engine, EqualTimesFireFifo) {
-  sim::Engine eng;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) eng.schedule(1.0, [&, i] { order.push_back(i); });
-  eng.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Engine, EventsCanScheduleEvents) {
-  sim::Engine eng;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) eng.schedule_in(1.0, chain);
-  };
-  eng.schedule(0.0, chain);
-  EXPECT_DOUBLE_EQ(eng.run(), 4.0);
-  EXPECT_EQ(depth, 5);
-}
-
-TEST(Engine, CannotScheduleInThePast) {
-  sim::Engine eng;
-  eng.schedule(5.0, [&] {
-    EXPECT_THROW(eng.schedule(1.0, [] {}), rcs::Error);
-  });
-  eng.run();
-}
-
-TEST(Engine, StopHaltsProcessing) {
-  sim::Engine eng;
-  int fired = 0;
-  eng.schedule(1.0, [&] { ++fired; eng.stop(); });
-  eng.schedule(2.0, [&] { ++fired; });
-  eng.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(eng.pending(), 1u);
-}
-
-TEST(Engine, NowAdvancesDuringRun) {
-  sim::Engine eng;
-  double seen = -1.0;
-  eng.schedule(2.5, [&] { seen = eng.now(); });
-  eng.run();
-  EXPECT_DOUBLE_EQ(seen, 2.5);
-}
-
-TEST(Timeline, SerializesWork) {
-  sim::Timeline tl;
-  EXPECT_DOUBLE_EQ(tl.reserve(0.0, 2.0), 2.0);
-  EXPECT_DOUBLE_EQ(tl.reserve(1.0, 3.0), 5.0);  // queued behind first job
-  EXPECT_DOUBLE_EQ(tl.reserve(10.0, 1.0), 11.0);  // idle gap honoured
-  EXPECT_DOUBLE_EQ(tl.busy_total(), 6.0);
-  EXPECT_DOUBLE_EQ(tl.free_at(), 11.0);
-}
-
-TEST(Timeline, ZeroDurationAllowedNegativeRejected) {
-  sim::Timeline tl;
-  EXPECT_DOUBLE_EQ(tl.reserve(1.0, 0.0), 1.0);
-  EXPECT_THROW(tl.reserve(0.0, -1.0), rcs::Error);
-}
-
-TEST(Timeline, ResetClearsState) {
-  sim::Timeline tl;
-  tl.reserve(0.0, 5.0);
-  tl.reset();
-  EXPECT_DOUBLE_EQ(tl.free_at(), 0.0);
-  EXPECT_DOUBLE_EQ(tl.busy_total(), 0.0);
-}
-
-TEST(BandwidthLink, TransferTimeIsLatencyPlusSerialization) {
-  sim::BandwidthLink link(1e9, 1e-6);
-  EXPECT_DOUBLE_EQ(link.transfer_time(0), 1e-6);
-  EXPECT_DOUBLE_EQ(link.transfer_time(1'000'000), 1e-6 + 1e-3);
-}
-
-TEST(BandwidthLink, TransfersSerialize) {
-  sim::BandwidthLink link(1e6);  // 1 MB/s
-  const double t1 = link.transfer(0.0, 1'000'000);  // 1 s
-  EXPECT_DOUBLE_EQ(t1, 1.0);
-  const double t2 = link.transfer(0.5, 500'000);  // queued until 1.0
-  EXPECT_DOUBLE_EQ(t2, 1.5);
-}
-
-TEST(BandwidthLink, RejectsNonPositiveBandwidth) {
-  EXPECT_THROW(sim::BandwidthLink(0.0), rcs::Error);
-  EXPECT_THROW(sim::BandwidthLink(1.0, -1.0), rcs::Error);
-}
 
 TEST(Trace, RecordsWhenEnabled) {
   sim::TraceRecorder tr(true);
