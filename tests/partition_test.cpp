@@ -1,6 +1,10 @@
 // Tests for the design model's partition solvers (Eq. 4/5/6), checked both
 // as equations (plug the solution back, residual ~ 0) and against the
-// paper's Section 6.1 operating points.
+// paper's Section 6.1 operating points; plus the per-application
+// decisions both planes share (split resolution, column shares, tags and
+// config checks).
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -240,6 +244,55 @@ TEST(Presets, AllPresetsSolveCleanly) {
     const auto fw = core::solve_fw_partition(sys, n, 96);
     EXPECT_EQ(fw.l1 + fw.l2, fw.ops_per_phase);
   }
+}
+
+// ---- The decisions both planes of every application share. ----
+
+TEST(SharedDecisions, ResolveSplitsPerMode) {
+  using core::DesignMode;
+  EXPECT_EQ(core::resolve_bf(xd1(), DesignMode::Hybrid, 3000, -1),
+            core::solve_mm_partition(xd1(), 3000).b_f);
+  EXPECT_EQ(core::resolve_bf(xd1(), DesignMode::ProcessorOnly, 3000, -1), 0);
+  EXPECT_EQ(core::resolve_bf(xd1(), DesignMode::FpgaOnly, 3000, -1), 3000);
+  EXPECT_EQ(core::resolve_bf(xd1(), DesignMode::FpgaOnly, 3000, 24), 24);
+  EXPECT_EQ(core::resolve_l1(xd1(), DesignMode::Hybrid, 18432, 256, -1),
+            core::solve_fw_partition(xd1(), 18432, 256).l1);
+  EXPECT_EQ(core::resolve_l1(xd1(), DesignMode::ProcessorOnly, 18432, 256, -1),
+            12);  // all n/(b*p) tasks
+  EXPECT_EQ(core::resolve_l1(xd1(), DesignMode::FpgaOnly, 18432, 256, -1), 0);
+  EXPECT_EQ(core::resolve_l1(xd1(), DesignMode::Hybrid, 18432, 256, 5), 5);
+}
+
+// The p-1 ranks other than the root split b columns contiguously, the
+// first b % (p-1) of them one column wider.
+TEST(SharedDecisions, WorkerColumnsSkipTheRoot) {
+  using Cols = std::pair<long long, long long>;
+  EXPECT_EQ(core::worker_columns(10, 4, 1, 0), (Cols{0, 4}));
+  EXPECT_EQ(core::worker_columns(10, 4, 1, 2), (Cols{4, 7}));
+  EXPECT_EQ(core::worker_columns(10, 4, 1, 3), (Cols{7, 10}));
+  EXPECT_EQ(core::worker_columns(10, 4, 0, 1), (Cols{0, 4}));
+}
+
+TEST(SharedDecisions, BlockTagPacksWithinItsLimits) {
+  EXPECT_EQ(core::block_tag(3, 2, 5), (2 << 21) | (5 << 3) | 3);
+  EXPECT_EQ(core::block_tag(7, 511, (1 << 18) - 1),
+            (511 << 21) | (((1 << 18) - 1) << 3) | 7);
+  EXPECT_THROW(core::block_tag(1, 1 << 9, 0), rcs::Error);
+  EXPECT_THROW(core::block_tag(1, 0, 1 << 18), rcs::Error);
+}
+
+TEST(SharedDecisions, ConfigChecksRejectWhatTheDesignsCannotRun) {
+  const SystemParams one = xd1().with_nodes(1);
+  EXPECT_NO_THROW(core::check_lu_config(xd1(), 30000, 3000));
+  EXPECT_THROW(core::check_lu_config(xd1(), 100, 33), rcs::Error);
+  EXPECT_THROW(core::check_lu_config(one, 64, 16), rcs::Error);
+  EXPECT_NO_THROW(core::check_fw_config(xd1(), 18432, 256));
+  EXPECT_THROW(core::check_fw_config(xd1(), 18432 + 256, 256), rcs::Error);
+  EXPECT_THROW(core::check_fw_config(xd1(), 0, 256), rcs::Error);
+  EXPECT_THROW(core::check_chol_config(one, 64, 16), rcs::Error);
+  EXPECT_THROW(core::check_chol_config(xd1(), 64, 0), rcs::Error);
+  EXPECT_NO_THROW(core::check_mm_config(64, 16));
+  EXPECT_THROW(core::check_mm_config(64, 24), rcs::Error);
 }
 
 }  // namespace
