@@ -125,18 +125,34 @@ void BM_GetrfBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GetrfBlocked)->Arg(128)->Arg(256);
 
-void BM_FwBlockKernel(benchmark::State& state) {
-  const std::size_t b = state.range(0);
+// The min-plus kernel on one b x b op3 task, per dispatch level (b = 32 is
+// the fw-fine block); levels the CPU lacks are skipped.
+void BM_FwBlock(benchmark::State& state) {
+  const auto level = static_cast<linalg::simd::Level>(state.range(0));
+  if (!linalg::simd::level_supported(level)) {
+    state.SkipWithError("SIMD level not supported on this CPU");
+    return;
+  }
+  const std::size_t b = state.range(1);
   linalg::Matrix c = graph::random_digraph(b, 5, 0.6);
   linalg::Matrix a = graph::random_digraph(b, 6, 0.6);
   linalg::Matrix d = graph::random_digraph(b, 7, 0.6);
+  const linalg::simd::Level saved = linalg::simd::active_level();
+  linalg::simd::set_level(level);
   for (auto _ : state) {
     graph::fw_block(c.view(), a.view(), d.view());
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
+  linalg::simd::set_level(saved);
   state.SetItemsProcessed(state.iterations() * 2 * b * b * b);
+  state.SetLabel(linalg::simd::level_name(level));
 }
-BENCHMARK(BM_FwBlockKernel)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_FwBlock)->ArgsProduct(
+    {{static_cast<int>(linalg::simd::Level::Scalar),
+      static_cast<int>(linalg::simd::Level::Avx2),
+      static_cast<int>(linalg::simd::Level::Avx512)},
+     {32, 64, 128}});
 
 void BM_FloydWarshallReference(benchmark::State& state) {
   const std::size_t n = state.range(0);

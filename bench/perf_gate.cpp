@@ -525,9 +525,26 @@ int run_self_test(const std::string& path) {
     return 1;
   }
 
+  // Perturbation 3: a fresh row the baseline does not have (a kernel added
+  // since it was recorded), however slow, is new — not a regression.
+  JsonValue extended = root;
+  if (JsonValue* kernels = extended.get_mut("kernels")) {
+    JsonValue row = kernels->arr.front();
+    if (JsonValue* name = row.get_mut("kernel")) name->str = "self_test_new";
+    if (JsonValue* secs = row.get_mut("seconds")) secs->number = 1e9;
+    kernels->arr.push_back(std::move(row));
+  }
+  if (!kernel_regressions(extended, root, nullptr).empty()) {
+    std::fprintf(stderr,
+                 "self-test: a row missing from the baseline was flagged "
+                 "as a regression\n");
+    return 1;
+  }
+
   std::printf(
       "perf_gate self-test PASS: baseline clean (%zu analysis blocks, %d "
-      "kernel rows compared); both perturbations detected\n",
+      "kernel rows compared); both perturbations detected, new rows "
+      "ignored\n",
       blocks.size(), compared);
   return 0;
 }

@@ -3,9 +3,10 @@
 // Unlike the fig*/table1 benches (which report *simulated* seconds), this
 // harness measures real elapsed time of the functional substrates — the
 // packed parallel gemm vs the legacy tiled loop vs the naive reference, the
-// streamed MatMulArray FPGA emulation, and mid-size lu_functional /
-// fw_functional runs — across a thread sweep, and writes BENCH_perf.json so
-// future PRs have a machine-readable perf trajectory to regress against.
+// streamed MatMulArray FPGA emulation, the min-plus fw_block, and mid-size
+// lu_functional / fw_functional runs — across a thread sweep, and writes
+// BENCH_perf.json so future PRs have a machine-readable perf trajectory to
+// regress against.
 //
 // Every kernel row also carries the pool telemetry deltas for its timing
 // run (queue-wait vs busy milliseconds, jobs, chunks, per rep), so a scaling
@@ -34,6 +35,7 @@
 #include "core/system.hpp"
 #include "fault_sweep.hpp"
 #include "fpga/matmul_array.hpp"
+#include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
@@ -173,6 +175,31 @@ Row bench_trsm(long long n, long long m, int threads) {
   return row;
 }
 
+/// One disjoint (op3) min-plus block task, b x b x b, on one thread — the
+/// FW kernel layer. The kernel is branch-free, so re-running it on its own
+/// output costs the same as on fresh data; small blocks are timed in
+/// batches of at least ~2^22 relaxations and reported per task.
+Row bench_fw_block(long long b) {
+  common::ThreadPool::set_global_threads(1);
+  const std::size_t ub = static_cast<std::size_t>(b);
+  const la::Matrix d = rcs::graph::random_digraph(3 * ub, 16, 0.5);
+  la::Matrix c = la::Matrix::from_view(d.block(2 * ub, 2 * ub, ub, ub));
+  const auto a = d.block(ub, 0, ub, ub);
+  const auto bb = d.block(0, ub, ub, ub);
+  const int batch = std::max(1, static_cast<int>((1LL << 22) / (b * b * b)));
+  Row row;
+  row.kernel = "fw_block";
+  row.size = b;
+  row.threads = 1;
+  time_best(row, [&] {
+    for (int i = 0; i < batch; ++i) rcs::graph::fw_block(c.view(), a, bb);
+  });
+  row.seconds /= batch;
+  row.gflops =
+      static_cast<double>(rcs::graph::fw_block_flops(b)) / row.seconds / 1e9;
+  return row;
+}
+
 Row bench_lu_functional(long long n, long long b, int threads) {
   common::ThreadPool::set_global_threads(threads);
   core::SystemParams sys = core::SystemParams::cray_xd1();
@@ -214,8 +241,9 @@ Row bench_fw_functional(long long n, long long b, int threads) {
 }
 
 /// --smoke bit-identity guards: the production kernels against their naive
-/// references, across thread counts and every supported SIMD path. Returns
-/// the number of mismatches (0 = pass).
+/// references (the min-plus kernels against their Level::Scalar run),
+/// across thread counts and every supported SIMD path. Returns the number
+/// of mismatches (0 = pass).
 int run_identity_guards() {
   const simd::Level saved = simd::active_level();
   int failures = 0;
@@ -241,10 +269,24 @@ int run_identity_guards() {
   la::Matrix lmat = la::random_matrix(n, n, 13);
   for (std::size_t i = 0; i < n; ++i) lmat(i, i) = 1.0;
   const la::Matrix rhs = la::random_matrix(n, n, 14);
+  // Min-plus: a ragged disjoint (op3) and an in-place (op1) fw_block task,
+  // then blocked_floyd_warshall at b = 64, whose waves go through the pool.
+  const la::Matrix g0 = rcs::graph::random_digraph(n, 15, 0.5);
+  const auto fw_tasks = [](la::Matrix& d) {
+    rcs::graph::fw_block(d.block(0, 0, 40, 45), d.block(0, 50, 40, 37),
+                         d.block(50, 50, 37, 45));
+    rcs::graph::fw_block(d.block(48, 0, 48, 48), d.block(48, 0, 48, 48),
+                         d.block(48, 0, 48, 48));
+  };
+  const la::Matrix g1 = rcs::graph::random_digraph(256, 16, 0.3);
   common::ThreadPool::set_global_threads(1);
   simd::set_level(simd::Level::Scalar);
   la::Matrix trsm_ref = rhs;
   la::trsm_left_lower_unit(lmat.view(), trsm_ref.view());
+  la::Matrix fw_ref = g0;
+  fw_tasks(fw_ref);
+  la::Matrix bfw_ref = g1;
+  rcs::graph::blocked_floyd_warshall(bfw_ref, 64);
 
   const rcs::fpga::MatMulArray array(core::SystemParams::cray_xd1().mm_fpga);
   for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
@@ -268,6 +310,13 @@ int run_identity_guards() {
       la::Matrix x = rhs;
       la::trsm_left_lower_unit(lmat.view(), x.view());
       check(la::bit_equal(x.view(), trsm_ref.view()), "trsm" + tag);
+      la::Matrix fw = g0;
+      fw_tasks(fw);
+      check(la::bit_equal(fw.view(), fw_ref.view()), "fw_block" + tag);
+      la::Matrix bfw = g1;
+      rcs::graph::blocked_floyd_warshall(bfw, 64);
+      check(la::bit_equal(bfw.view(), bfw_ref.view()),
+            "blocked_floyd_warshall" + tag);
     }
   }
   simd::set_level(saved);
@@ -344,7 +393,7 @@ void write_json(const std::vector<Row>& rows,
     std::snprintf(buf, sizeof(buf),
                   "    {\"kernel\": \"%s\", \"size\": %lld, \"threads\": %d, "
                   "\"oversubscribed\": %s, "
-                  "\"seconds\": %.6f, \"gflops\": %.3f, \"reps\": %d, "
+                  "\"seconds\": %.9g, \"gflops\": %.3f, \"reps\": %d, "
                   "\"queue_wait_ms\": %.4f, \"busy_ms\": %.4f, "
                   "\"jobs\": %.1f, \"chunks\": %.1f}%s\n",
                   r.kernel.c_str(), r.size, r.threads,
@@ -499,6 +548,10 @@ int main(int argc, char** argv) {
     rows.push_back(bench_trsm(smoke ? 96 : 512, smoke ? 96 : 512, t));
   }
 
+  // --- Min-plus block kernel (the FW layer), one thread: the fw-fine block
+  // size and a large block.
+  for (long long b : {32LL, 256LL}) rows.push_back(bench_fw_block(b));
+
   if (!smoke) {
     // --- Mid-size functional runs (simulated results identical across
     // thread counts; only the wall-clock below should move).
@@ -521,7 +574,7 @@ int main(int argc, char** argv) {
               "chnk/r");
   for (const Row& r : rows) {
     std::printf(
-        "%-24s %5lld %3d %9.4f %9.2f %11.3f %9.2f %7.1f %7.1f\n",
+        "%-24s %5lld %3d %9.3g %9.2f %11.3f %9.2f %7.1f %7.1f\n",
         r.kernel.c_str(), r.size, r.threads, r.seconds, r.gflops,
         r.queue_wait_ms, r.busy_ms, r.jobs, r.chunks);
   }

@@ -9,6 +9,7 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/harness.hpp"
+#include "fparith/backend.hpp"
 #include "fpga/fw_kernel.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "net/matrix_channel.hpp"
@@ -136,8 +137,21 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       // accounting is deterministic at any RCS_THREADS).
       std::vector<unsigned char> flipped(tasks.size(), 0);
       std::vector<unsigned char> repaired(tasks.size(), 0);
+      // Chunk grain from the host cost of the kernels that run: FPGA tasks
+      // run on the backend's cores (soft-float ones cost ~100 native
+      // tasks), and DMR runs each of them twice.
+      const double fpga_task_cost =
+          task_flops *
+          (use_soft_fp ? fparith::SoftFp::kHostCost
+                       : fparith::NativeFp::kHostCost) *
+          (dmr ? 2.0 : 1.0);
+      const double wave_cost =
+          static_cast<double>(total - on_fpga) * task_flops +
+          static_cast<double>(on_fpga) * fpga_task_cost;
       common::parallel_for(
-          0, static_cast<std::size_t>(total), 1,
+          0, static_cast<std::size_t>(total),
+          common::grain_for_flops(
+              wave_cost / static_cast<double>(std::max<long long>(total, 1))),
           [&](std::size_t i0, std::size_t i1) {
             for (std::size_t i = i0; i < i1; ++i) {
               // task.label is a string literal ("op21"/"op22"/"op3"), so it
@@ -151,10 +165,12 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
               // the task from the snapshot and compares bitwise.
               Matrix check;
               if (fpga_task && dmr) check = Matrix::from_view(task.target);
-              if (fpga_task && use_soft_fp) {
+              if (!fpga_task) {
+                graph::fw_block(task.target, task.a, task.b);
+              } else if (use_soft_fp) {
                 kernel.run_block_soft(task.target, task.a, task.b);
               } else {
-                graph::fw_block(task.target, task.a, task.b);
+                kernel.run_block(task.target, task.a, task.b);
               }
               if (fpga_task && inject) {
                 if (const sim::BitFlip* f =

@@ -24,6 +24,8 @@ struct NativeFp {
     return s < acc ? s : acc;
   }
   static constexpr const char* name() { return "native"; }
+  /// Host time per operation relative to NativeFp (for pool grains).
+  static constexpr double kHostCost = 1.0;
 };
 
 /// Bit-accurate software-core backend (round-to-nearest-even, subnormals).
@@ -41,6 +43,9 @@ struct SoftFp {
     return fparith::relax(acc, a, b);
   }
   static constexpr const char* name() { return "soft-ieee754"; }
+  /// The soft cores do field extraction, alignment and rounding in integer
+  /// code: about two orders of magnitude above the native kernels.
+  static constexpr double kHostCost = 100.0;
 };
 
 }  // namespace rcs::fparith

@@ -1,6 +1,7 @@
 #include "fpga/fw_kernel.hpp"
 
 #include "common/error.hpp"
+#include "graph/floyd_warshall.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -43,45 +44,45 @@ void FwKernel::require_fits(long long b) const {
   require_sram(dev_, sram_words(b), "floyd-warshall block staging");
 }
 
-template <typename Backend>
-void FwKernel::run_impl(Span2D<double> c, Span2D<const double> a,
-                        Span2D<const double> b) const {
+void FwKernel::record_call(Span2D<double> c, Span2D<const double> a,
+                           Span2D<const double> b) const {
   RCS_CHECK_MSG(a.cols() == b.rows() && c.rows() == a.rows() &&
                     c.cols() == b.cols(),
                 "fw block shape mismatch");
   require_fits(static_cast<long long>(c.rows()));
+  if (!obs::metrics_enabled()) return;
+  FwMetrics& fm = FwMetrics::get();
+  fm.calls.add(1);
+  const std::uint64_t useful =
+      static_cast<std::uint64_t>(c.rows()) * c.cols() * a.cols();
+  fm.relaxations.add(useful);
+  const std::uint64_t slots =
+      static_cast<std::uint64_t>(cycles(static_cast<long long>(c.rows()))) *
+      static_cast<std::uint64_t>(dev_.pe_count);
+  // Each relaxation is a compare + add = 2 PE operations.
+  if (slots > 2 * useful) fm.stall_cycles.add(slots - 2 * useful);
+}
+
+void FwKernel::run_block(Span2D<double> c, Span2D<const double> a,
+                         Span2D<const double> b) const {
+  record_call(c, a, b);
   obs::ScopedTimer span("fw_block", "fpga");
-  if (obs::metrics_enabled()) {
-    FwMetrics& fm = FwMetrics::get();
-    fm.calls.add(1);
-    const std::uint64_t useful = static_cast<std::uint64_t>(c.rows()) *
-                                 c.cols() * a.cols();
-    fm.relaxations.add(useful);
-    const std::uint64_t slots =
-        static_cast<std::uint64_t>(cycles(static_cast<long long>(c.rows()))) *
-        static_cast<std::uint64_t>(dev_.pe_count);
-    // Each relaxation is a compare + add = 2 PE operations.
-    if (slots > 2 * useful) fm.stall_cycles.add(slots - 2 * useful);
-  }
+  graph::fw_block(c, a, b);
+}
+
+void FwKernel::run_block_soft(Span2D<double> c, Span2D<const double> a,
+                              Span2D<const double> b) const {
+  record_call(c, a, b);
+  obs::ScopedTimer span("fw_block", "fpga");
   const std::size_t kk = a.cols();
   for (std::size_t k = 0; k < kk; ++k) {
     for (std::size_t i = 0; i < c.rows(); ++i) {
       const double aik = a(i, k);
       for (std::size_t j = 0; j < c.cols(); ++j) {
-        c(i, j) = Backend::relax(c(i, j), aik, b(k, j));
+        c(i, j) = fparith::SoftFp::relax(c(i, j), aik, b(k, j));
       }
     }
   }
-}
-
-void FwKernel::run_block(Span2D<double> c, Span2D<const double> a,
-                         Span2D<const double> b) const {
-  run_impl<fparith::NativeFp>(c, a, b);
-}
-
-void FwKernel::run_block_soft(Span2D<double> c, Span2D<const double> a,
-                              Span2D<const double> b) const {
-  run_impl<fparith::SoftFp>(c, a, b);
 }
 
 }  // namespace rcs::fpga

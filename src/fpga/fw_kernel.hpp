@@ -51,20 +51,21 @@ class FwKernel {
   void require_fits(long long b) const;
 
   /// Functional block task with the host FPU:
-  /// c[i][j] = min(c[i][j], a[i][k'] + b[k'][j]) with k' outermost — the
-  /// same sweep order as the hardware and as graph::fw_block, so the result
-  /// is bit-identical to the CPU path for every aliasing pattern.
+  /// c[i][j] = min(c[i][j], a[i][k'] + b[k'][j]) with k' outermost. Runs
+  /// graph::fw_block, the one native min-plus kernel, so the result is the
+  /// CPU path's bit for bit under the same aliasing contract.
   void run_block(Span2D<double> c, Span2D<const double> a,
                  Span2D<const double> b) const;
 
-  /// Functional block task through the bit-accurate IEEE-754 cores.
+  /// Functional block task through the bit-accurate IEEE-754 cores, in the
+  /// same sweep order as the hardware.
   void run_block_soft(Span2D<double> c, Span2D<const double> a,
                       Span2D<const double> b) const;
 
  private:
-  template <typename Backend>
-  void run_impl(Span2D<double> c, Span2D<const double> a,
-                Span2D<const double> b) const;
+  /// Shape and fit checks plus the fpga.fw.* counters of one block task.
+  void record_call(Span2D<double> c, Span2D<const double> a,
+                   Span2D<const double> b) const;
 
   DeviceConfig dev_;
 };

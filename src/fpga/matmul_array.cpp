@@ -18,12 +18,11 @@ namespace {
 constexpr std::size_t kStreamThreshold = 48 * 48 * 48;
 
 /// Estimated nanoseconds one emulated MAC costs on the scalar row loop, for
-/// the pool's minimum-grain heuristic. The soft-float cores do field
-/// extraction, alignment, and rounding in integer code — two orders of
-/// magnitude above a native fused load-mul-add.
+/// the pool's minimum-grain heuristic: about 1 ns native, scaled by the
+/// backend's host cost.
 template <typename Backend>
 constexpr double mac_ns() {
-  return std::is_same_v<Backend, fparith::SoftFp> ? 100.0 : 1.0;
+  return Backend::kHostCost;
 }
 
 /// Telemetry for the emulated PE array. `stall_cycles` estimates the PE

@@ -65,27 +65,6 @@ std::vector<std::size_t> reconstruct_path(
   return path;
 }
 
-void fw_block(Span2D<double> c, Span2D<const double> a,
-              Span2D<const double> b) {
-  RCS_CHECK_MSG(a.cols() == b.rows() && c.rows() == a.rows() &&
-                    c.cols() == b.cols(),
-                "fw_block shape mismatch");
-  const std::size_t m = c.rows();
-  const std::size_t n = c.cols();
-  const std::size_t kk = a.cols();
-  for (std::size_t k = 0; k < kk; ++k) {
-    const double* bk = b.row(k);
-    for (std::size_t i = 0; i < m; ++i) {
-      const double aik = a(i, k);
-      double* ci = c.row(i);
-      for (std::size_t j = 0; j < n; ++j) {
-        const double via = aik + bk[j];
-        if (via < ci[j]) ci[j] = via;
-      }
-    }
-  }
-}
-
 void fw_block_with_next(Span2D<double> c, Span2D<const double> a,
                         Span2D<const double> b, Span2D<std::size_t> next_c,
                         Span2D<const std::size_t> next_a) {
@@ -172,12 +151,20 @@ void blocked_floyd_warshall(Matrix& d, std::size_t b) {
   auto blk = [&](std::size_t u, std::size_t v) {
     return d.block(u * b, v * b, b, b);
   };
+  // Grains sized by cost: one q item is two block tasks, one u item a row
+  // of nb - 1; at small b a task takes microseconds, so grain 1 would spend
+  // more time in the pool queue than in the kernel.
+  const double task_flops =
+      static_cast<double>(fw_block_flops(static_cast<long long>(b)));
+  const std::size_t q_grain = common::grain_for_flops(2.0 * task_flops);
+  const std::size_t u_grain = common::grain_for_flops(
+      static_cast<double>(nb - 1) * task_flops);
   for (std::size_t t = 0; t < nb; ++t) {
     // Step 1 (op1): diagonal block.
     fw_block(blk(t, t), blk(t, t), blk(t, t));
     // Step 2 (op21 row blocks, op22 column blocks): each q writes only its
     // own (t,q)/(q,t) pair and reads the diagonal — parallel over q.
-    common::parallel_for(0, nb, 1, [&](std::size_t q0, std::size_t q1) {
+    common::parallel_for(0, nb, q_grain, [&](std::size_t q0, std::size_t q1) {
       for (std::size_t q = q0; q < q1; ++q) {
         if (q == t) continue;
         fw_block(blk(t, q), blk(t, t), blk(t, q));  // op21
@@ -187,7 +174,7 @@ void blocked_floyd_warshall(Matrix& d, std::size_t b) {
     // Step 3 (op3): remaining blocks, independent given row/column t —
     // parallel over block rows. Relaxation order within a block is
     // unchanged, so distances match the serial schedule bit-for-bit.
-    common::parallel_for(0, nb, 1, [&](std::size_t u0, std::size_t u1) {
+    common::parallel_for(0, nb, u_grain, [&](std::size_t u0, std::size_t u1) {
       for (std::size_t u = u0; u < u1; ++u) {
         if (u == t) continue;
         for (std::size_t v = 0; v < nb; ++v) {

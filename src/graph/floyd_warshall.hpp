@@ -22,7 +22,9 @@ using linalg::Matrix;
 /// Distance value meaning "no path known".
 constexpr double kNoEdge = std::numeric_limits<double>::infinity();
 
-/// In-place reference Floyd–Warshall on an n x n distance matrix.
+/// In-place reference Floyd–Warshall on an n x n distance matrix: a plain
+/// scalar loop that shares no code with fw_block's kernels, so tests can
+/// use it as an independent oracle.
 void floyd_warshall(Matrix& d);
 
 /// Reference Floyd–Warshall that also produces a next-hop matrix for path
@@ -39,21 +41,30 @@ std::vector<std::size_t> reconstruct_path(
 
 /// The generalized blocked relaxation kernel — one b x b task of the blocked
 /// algorithm. For k = 0..K-1 (K = a.cols()), in that order:
-///     c[i][j] = min(c[i][j], a[i][k] + b[k][j]).
-/// The k-outer loop order makes the kernel correct for every aliasing case
-/// the blocked algorithm needs:
-///   op1 : c = a = b = D_tt      (diagonal block, in-place FW)
-///   op21: c = b = D_tq, a = D_tt  (row-t blocks)
-///   op22: c = a = D_qt, b = D_tt  (column-t blocks)
-///   op3 : c = D_uv, a = D_ut, b = D_tv  (no aliasing)
+///     c[i][j] = min(c[i][j], a[i][k] + b[k][j]),
+/// each step being the select `via < c ? via : c` (c is kept on ties, on
+/// +0 vs -0 and on NaN). Two operand layouts are defined:
+///   - disjoint: c shares no element with a or b (a and b may overlap each
+///     other). op3: c = D_uv, a = D_ut, b = D_tv.
+///   - whole-block aliasing: c is the same block as a and/or b (same data
+///     pointer, stride and shape), read with the k-outer order, a[i][k]
+///     taken before row i is updated at step k:
+///       op1 : c = a = b = D_tt      (diagonal block, in-place FW)
+///       op21: c = b = D_tq, a = D_tt  (row-t blocks)
+///       op22: c = a = D_qt, b = D_tt  (column-t blocks)
+/// Any other overlap of c with an operand throws rcs::Error: a vectorized
+/// sweep would give it a different meaning. Runs the kernel of the active
+/// linalg::simd level (register-tiled for disjoint tasks, a j-vectorized
+/// k-outer sweep for aliased ones); every level gives the same bits.
 void fw_block(Span2D<double> c, Span2D<const double> a,
               Span2D<const double> b);
 
 /// In-place blocked Floyd–Warshall with block size `b` (reference [7]);
-/// produces exactly the same result as floyd_warshall. The independent
-/// blocks of each wave (step 2 and step 3) run in parallel on the shared
-/// common::ThreadPool; per-block relaxation order is unchanged, so the
-/// output is bit-identical at any thread count. Requires b to divide n.
+/// equal to floyd_warshall's up to rounding (path sums associate by block).
+/// The independent blocks of each wave (step 2 and step 3) run in parallel
+/// on the shared common::ThreadPool, in chunks sized by their flops;
+/// per-block relaxation order is unchanged, so the output is bit-identical
+/// at any thread count. Requires b to divide n.
 void blocked_floyd_warshall(Matrix& d, std::size_t b);
 
 /// The blocked relaxation kernel carrying next-hop bookkeeping: whenever

@@ -14,6 +14,7 @@
 #include "core/lu_functional.hpp"
 #include "core/system.hpp"
 #include "fpga/matmul_array.hpp"
+#include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
@@ -37,7 +38,8 @@ core::SystemParams xd1_p(int p) {
 }
 
 // The kernel-level contract behind every test in this file: gemm, the
-// MatMulArray emulation (all four variants), and trsm_left_lower_unit
+// MatMulArray emulation (all four variants), trsm_left_lower_unit, the
+// min-plus fw_block (disjoint and aliased) and blocked_floyd_warshall
 // produce byte-identical output across every (SIMD path x thread count)
 // combination, with threads=1 + scalar dispatch as the reference.
 TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
@@ -64,6 +66,23 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   array.multiply_accumulate_nt(a.view(), bt.view(), mm_nt_ref.view());
   la::Matrix trsm_ref = rhs;
   la::trsm_left_lower_unit(lower.view(), trsm_ref.view());
+  // fw_block on a ragged op3 task and an in-place op1 task;
+  // blocked_floyd_warshall at b = 64 (waves split across the pool) and
+  // b = 16 (waves cheap enough to run serially).
+  const la::Matrix g = gr::random_digraph(70, 17, 0.5);
+  const auto fw_op3 = [&](la::Matrix& d) {
+    gr::fw_block(d.block(0, 0, 29, 37), d.block(0, 40, 29, 19),
+                 d.block(35, 41, 19, 37));
+    gr::fw_block(d.block(35, 2, 33, 33), d.block(35, 2, 33, 33),
+                 d.block(35, 2, 33, 33));
+  };
+  la::Matrix fw_block_ref = g;
+  fw_op3(fw_block_ref);
+  const la::Matrix g192 = gr::random_digraph(192, 18, 0.3);
+  la::Matrix bfw64_ref = g192;
+  gr::blocked_floyd_warshall(bfw64_ref, 64);
+  la::Matrix bfw16_ref = g192;
+  gr::blocked_floyd_warshall(bfw16_ref, 16);
 
   for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
        ++lv) {
@@ -86,6 +105,18 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
       la::Matrix x = rhs;
       la::trsm_left_lower_unit(lower.view(), x.view());
       EXPECT_TRUE(la::bit_equal(x.view(), trsm_ref.view())) << "trsm " << tag;
+      la::Matrix fw = g;
+      fw_op3(fw);
+      EXPECT_TRUE(la::bit_equal(fw.view(), fw_block_ref.view()))
+          << "fw_block " << tag;
+      la::Matrix bfw64 = g192;
+      gr::blocked_floyd_warshall(bfw64, 64);
+      EXPECT_TRUE(la::bit_equal(bfw64.view(), bfw64_ref.view()))
+          << "blocked_fw b=64 " << tag;
+      la::Matrix bfw16 = g192;
+      gr::blocked_floyd_warshall(bfw16, 16);
+      EXPECT_TRUE(la::bit_equal(bfw16.view(), bfw16_ref.view()))
+          << "blocked_fw b=16 " << tag;
     }
   }
 
@@ -163,6 +194,53 @@ TEST(Determinism, FwFunctionalInvariantAcrossThreadCounts) {
     EXPECT_EQ(res.run.fpga_busy_seconds, ref.run.fpga_busy_seconds)
         << "threads=" << threads;
     EXPECT_TRUE(la::bit_equal(res.distances.view(), ref.distances.view()))
+        << "threads=" << threads;
+  }
+  common::ThreadPool::set_global_threads(1);
+}
+
+// The wave grain follows the host cost of the kernels that run: soft-float
+// FPGA tasks (about 100x a native task) and DMR re-solves fan out where
+// native tasks of the same size run serially. Neither may change a bit of
+// the result, the simulated clock or the fault accounting.
+TEST(Determinism, FwSoftFpDmrInvariantAcrossThreadCounts) {
+  const la::Matrix d0 = gr::random_digraph(64, 4321, 0.4);
+  sim::FaultPlan plan(23);
+  sim::BitFlip f;
+  f.rank = 1;
+  f.call = 3;
+  f.row_u = 0.3;
+  f.col_u = 0.6;
+  f.bit = 52;
+  plan.add_bitflip(f);
+  core::FwConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  cfg.faults = &plan;
+  cfg.fault_tolerance = true;
+
+  common::ThreadPool::set_global_threads(1);
+  core::FwConfig clean_cfg = cfg;
+  clean_cfg.faults = nullptr;
+  clean_cfg.fault_tolerance = false;
+  const auto clean = core::fw_functional(xd1_p(2), clean_cfg, d0);
+  const auto ref = core::fw_functional(xd1_p(2), cfg, d0, /*use_soft_fp=*/true);
+  EXPECT_EQ(ref.faults.bitflips_injected, 1u);
+  EXPECT_EQ(ref.faults.detected, 1u);
+  EXPECT_TRUE(la::bit_equal(ref.distances.view(), clean.distances.view()));
+
+  for (int threads : {2, 7}) {
+    common::ThreadPool::set_global_threads(threads);
+    const auto res =
+        core::fw_functional(xd1_p(2), cfg, d0, /*use_soft_fp=*/true);
+    EXPECT_EQ(res.run.seconds, ref.run.seconds) << "threads=" << threads;
+    EXPECT_TRUE(la::bit_equal(res.distances.view(), ref.distances.view()))
+        << "threads=" << threads;
+    EXPECT_EQ(res.faults.checks, ref.faults.checks) << "threads=" << threads;
+    EXPECT_EQ(res.faults.detected, ref.faults.detected)
+        << "threads=" << threads;
+    EXPECT_EQ(res.faults.recovery_cpu_s, ref.faults.recovery_cpu_s)
         << "threads=" << threads;
   }
   common::ThreadPool::set_global_threads(1);

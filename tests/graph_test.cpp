@@ -1,15 +1,24 @@
 // Tests for the Floyd–Warshall substrate: the reference algorithm, the
 // blocked formulation (bit-identity with the reference), the generalized
-// block kernel under every aliasing pattern, and path reconstruction.
+// block kernel under every aliasing pattern at every SIMD level (and its
+// rejection of partial overlap), and path reconstruction.
+
+#include <functional>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "graph/transitive_closure.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
 
 namespace gr = rcs::graph;
+namespace simd = rcs::linalg::simd;
+using rcs::Span2D;
 using rcs::linalg::Matrix;
 
 namespace {
@@ -69,6 +78,153 @@ TEST(FwBlock, Op1EqualsWholeMatrixFwForSingleBlock) {
 TEST(FwBlock, ShapeMismatchThrows) {
   Matrix a(2, 3), b(2, 3), c(2, 3);
   EXPECT_THROW(gr::fw_block(c.view(), a.view(), b.view()), rcs::Error);
+}
+
+// The scalar loop every fw_block kernel must match bit for bit: k outer,
+// a[i][k] read before row i is updated, the branchy select of the original.
+void fw_block_oracle(Span2D<double> c, Span2D<const double> a,
+                     Span2D<const double> b) {
+  for (std::size_t k = 0; k < a.cols(); ++k) {
+    for (std::size_t i = 0; i < c.rows(); ++i) {
+      const double aik = a(i, k);
+      for (std::size_t j = 0; j < c.cols(); ++j) {
+        const double via = aik + b(k, j);
+        if (via < c(i, j)) c(i, j) = via;
+      }
+    }
+  }
+}
+
+// Distances salted with +inf, NaN, +0/-0 and small integers, so ties,
+// signed-zero ties and unordered compares all occur.
+Matrix salted_matrix(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+  rcs::Rng rng(seed);
+  Matrix m(rows, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      switch (rng.uniform_index(10)) {
+        case 0: m(i, j) = gr::kNoEdge; break;
+        case 1: m(i, j) = std::numeric_limits<double>::quiet_NaN(); break;
+        case 2: m(i, j) = 0.0; break;
+        case 3: m(i, j) = -0.0; break;
+        case 4:
+        case 5: m(i, j) = static_cast<double>(rng.uniform_index(4)); break;
+        default: m(i, j) = rng.uniform(-1.0, 8.0); break;
+      }
+    }
+  }
+  return m;
+}
+
+// Run one task on a salted matrix through fw_block and through the oracle
+// and compare the whole matrix, so writes outside the target block show.
+// `place` carves (c, a, b) out of the matrix.
+using Placement = std::function<void(Matrix&, Span2D<double>&,
+                                     Span2D<const double>&,
+                                     Span2D<const double>&)>;
+void expect_matches_oracle(std::size_t rows, std::size_t cols,
+                           std::uint64_t seed, const Placement& place,
+                           const std::string& what) {
+  Matrix got = salted_matrix(rows, cols, seed);
+  Matrix want = got;
+  Span2D<double> c;
+  Span2D<const double> a, b;
+  place(got, c, a, b);
+  gr::fw_block(c, a, b);
+  place(want, c, a, b);
+  fw_block_oracle(c, a, b);
+  EXPECT_TRUE(rcs::linalg::bit_equal(got.view(), want.view())) << what;
+}
+
+TEST(FwBlock, EveryLevelMatchesScalarLoopBitwise) {
+  const std::size_t sizes[] = {1, 3, 7, 8, 15, 16, 17, 33};
+  const simd::Level saved = simd::active_level();
+  std::uint64_t seed = 100;
+  for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
+       ++lv) {
+    simd::set_level(static_cast<simd::Level>(lv));
+    const std::string level = simd::level_name(static_cast<simd::Level>(lv));
+    for (std::size_t m : sizes) {
+      for (std::size_t n : sizes) {
+        for (std::size_t k : sizes) {
+          const std::string shape = " simd=" + level + " m=" +
+                                    std::to_string(m) + " n=" +
+                                    std::to_string(n) + " k=" +
+                                    std::to_string(k);
+          // op3: three disjoint strided blocks of one matrix; c and a
+          // share a row band, as in the blocked algorithm.
+          expect_matches_oracle(
+              m + k + 1, 2 * n + k + 2, ++seed,
+              [&](Matrix& d, Span2D<double>& c, Span2D<const double>& a,
+                  Span2D<const double>& b) {
+                c = d.block(1, 0, m, n);
+                a = d.block(1, n + 1, m, k);
+                b = d.block(m + 1, n + k + 2, k, n);
+              },
+              "op3" + shape);
+          // op21: c = b (k == m), a a separate square block.
+          if (k == m) {
+            expect_matches_oracle(
+                2 * m + 1, n + m + 3, ++seed,
+                [&](Matrix& d, Span2D<double>& c, Span2D<const double>& a,
+                    Span2D<const double>& b) {
+                  c = d.block(1, 2, m, n);
+                  a = d.block(m + 1, n + 3, m, m);
+                  b = c;
+                },
+                "op21" + shape);
+          }
+          // op22: c = a (k == n), b a separate square block.
+          if (k == n) {
+            expect_matches_oracle(
+                m + n + 2, 2 * n + 1, ++seed,
+                [&](Matrix& d, Span2D<double>& c, Span2D<const double>& a,
+                    Span2D<const double>& b) {
+                  c = d.block(0, 1, m, n);
+                  a = c;
+                  b = d.block(m + 2, 0, n, n);
+                },
+                "op22" + shape);
+          }
+          // op1: all three the same square block.
+          if (m == n && n == k) {
+            expect_matches_oracle(
+                m + 3, m + 5, ++seed,
+                [&](Matrix& d, Span2D<double>& c, Span2D<const double>& a,
+                    Span2D<const double>& b) {
+                  c = d.block(2, 3, m, m);
+                  a = c;
+                  b = c;
+                },
+                "op1" + shape);
+          }
+        }
+      }
+    }
+  }
+  simd::set_level(saved);
+}
+
+TEST(FwBlock, PartialOverlapThrows) {
+  Matrix d = gr::random_digraph(12, 3, 0.5);
+  const Matrix other = gr::random_digraph(4, 4, 0.5);
+  const auto c = d.block(0, 0, 4, 4);
+  // a shifted diagonally into c.
+  EXPECT_THROW(gr::fw_block(c, d.block(1, 1, 4, 4), other.view()),
+               rcs::Error);
+  // b in c's row band, two columns over.
+  EXPECT_THROW(gr::fw_block(c, other.view(), d.block(0, 2, 4, 4)),
+               rcs::Error);
+  // Same first element, narrower a: not the whole block.
+  EXPECT_THROW(gr::fw_block(c, d.block(0, 0, 4, 3), other.block(0, 0, 3, 4)),
+               rcs::Error);
+  // Same first element and shape, different stride.
+  const Span2D<const double> restrided(d.data(), 4, 4, 5);
+  EXPECT_THROW(gr::fw_block(c, restrided, other.view()), rcs::Error);
+  // Blocks that share rows but no element are fine, and so is whole-block
+  // aliasing.
+  EXPECT_NO_THROW(gr::fw_block(c, d.block(0, 4, 4, 4), d.block(4, 0, 4, 4)));
+  EXPECT_NO_THROW(gr::fw_block(c, c, c));
 }
 
 class BlockedFw : public ::testing::TestWithParam<std::tuple<int, int, int>> {

@@ -11,8 +11,10 @@
 
 #include "common/thread_pool.hpp"
 #include "core/drift.hpp"
+#include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "core/predict.hpp"
+#include "graph/generate.hpp"
 #include "linalg/generate.hpp"
 #include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"
@@ -480,6 +482,34 @@ TEST(Trace, PhaseSpanAccumulatesWallCounter) {
     }
   }
   EXPECT_GT(c.value(), before);
+}
+
+// Hybrid FW runs its FPGA-assigned wave tasks through the FwKernel
+// emulation, so fpga.fw.* counts exactly the tasks the schedule charged to
+// the FPGAs (fpga_flops / 2b^3), b^3 relaxations each.
+TEST(Metrics, FwCountersCountHybridFpgaTasks) {
+  TelemetryGuard guard;
+  obs::set_metrics_enabled(true);
+  auto& reg = obs::Registry::global();
+  obs::Counter& calls = reg.counter("fpga.fw.calls");
+  obs::Counter& relax = reg.counter("fpga.fw.relaxations");
+  const std::uint64_t calls0 = calls.value();
+  const std::uint64_t relax0 = relax.value();
+
+  core::SystemParams sys = core::SystemParams::cray_xd1();
+  sys.p = 2;
+  core::FwConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  const auto res = core::fw_functional(
+      sys, cfg, rcs::graph::random_digraph(64, 3, 0.5));
+
+  const std::uint64_t tasks = calls.value() - calls0;
+  EXPECT_GT(tasks, 0u);
+  EXPECT_EQ(static_cast<double>(tasks) * 2.0 * 16 * 16 * 16,
+            res.run.fpga_flops);
+  EXPECT_EQ(relax.value() - relax0, tasks * 16 * 16 * 16);
 }
 
 // net.bytes_copied counts every byte memcpy'd into or out of a payload,
