@@ -1,4 +1,5 @@
-// Microbenchmarks of the computational substrates: host gemm and trsm, the
+// Microbenchmarks of the computational substrates: host gemm (packed and
+// narrow-column) and trsm, the
 // Floyd–Warshall block kernels, and the bit-accurate IEEE-754 cores (soft
 // vs native). google-benchmark binary.
 
@@ -112,6 +113,34 @@ BENCHMARK(BM_MicroKernel)
     ->Arg(static_cast<int>(linalg::simd::Level::Scalar))
     ->Arg(static_cast<int>(linalg::simd::Level::Avx2))
     ->Arg(static_cast<int>(linalg::simd::Level::Avx512));
+
+// The narrow-column gemm kernel at an LU opMM worker's shape, C (256 x n)
+// += A (256 x 256) * B (256 x n), per dispatch level; levels the CPU lacks
+// are skipped. Calls the level's kernel directly, like BM_MicroKernel.
+void BM_GemmNarrow(benchmark::State& state) {
+  const auto level = static_cast<linalg::simd::Level>(state.range(0));
+  if (!linalg::simd::level_supported(level)) {
+    state.SkipWithError("SIMD level not supported on this CPU");
+    return;
+  }
+  const linalg::simd::NarrowKernelFn kern = linalg::simd::narrow_kernel(level);
+  const std::size_t m = 256, n = state.range(1);
+  const linalg::Matrix a = linalg::random_matrix(m, m, 24);
+  const linalg::Matrix b = linalg::random_matrix(m, n, 25);
+  linalg::Matrix c(m, n);
+  for (auto _ : state) {
+    kern(m, n, m, a.data(), m, b.data(), n, 1, c.data(), n);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * m * n);
+  state.SetLabel(linalg::simd::level_name(level));
+}
+BENCHMARK(BM_GemmNarrow)->ArgsProduct(
+    {{static_cast<int>(linalg::simd::Level::Scalar),
+      static_cast<int>(linalg::simd::Level::Avx2),
+      static_cast<int>(linalg::simd::Level::Avx512)},
+     {1, 2, 7}});
 
 void BM_GetrfBlocked(benchmark::State& state) {
   const std::size_t n = state.range(0);

@@ -3,7 +3,8 @@
 // Unlike the fig*/table1 benches (which report *simulated* seconds), this
 // harness measures real elapsed time of the functional substrates — the
 // packed parallel gemm vs the legacy tiled loop vs the naive reference, the
-// streamed MatMulArray FPGA emulation, the min-plus fw_block, and mid-size
+// streamed MatMulArray FPGA emulation, LU's opL solve and narrow opMM gemm,
+// the min-plus fw_block, and mid-size
 // lu_functional / fw_functional runs — across a thread sweep, and writes
 // BENCH_perf.json so future PRs have a machine-readable perf trajectory to
 // regress against.
@@ -175,6 +176,54 @@ Row bench_trsm(long long n, long long m, int threads) {
   return row;
 }
 
+/// One opL block solve, X U = B with U and B both b x b, on one thread:
+/// trsm_right_upper at the LU block sizes. U is well conditioned (random
+/// upper triangle, diagonal shifted by b) so repeated solves stay finite.
+Row bench_trsm_right_upper(long long b) {
+  common::ThreadPool::set_global_threads(1);
+  const std::size_t ub = static_cast<std::size_t>(b);
+  la::Matrix u = la::random_matrix(ub, ub, 7);
+  for (std::size_t i = 0; i < ub; ++i) {
+    for (std::size_t j = 0; j < i; ++j) u(i, j) = 0.0;
+    u(i, i) += static_cast<double>(b);
+  }
+  const la::Matrix b0 = la::random_matrix(ub, ub, 8);
+  la::Matrix x(ub, ub);
+  Row row;
+  row.kernel = "trsm_right_upper";
+  row.size = b;
+  row.threads = 1;
+  time_best(row, [&] {
+    x = b0;
+    la::trsm_right_upper(u.view(), x.view());
+  });
+  row.gflops = static_cast<double>(la::trsm_flops(b, b)) / row.seconds / 1e9;
+  return row;
+}
+
+/// gemm at an LU opMM worker's shape: C (256 x cols) += A (256 x 256) *
+/// B (256 x cols), one thread, cols < simd::kNR so it takes the narrow
+/// path. Timed in batches of at least ~2^22 flops and reported per call.
+Row bench_gemm_narrow(long long cols) {
+  common::ThreadPool::set_global_threads(1);
+  const std::size_t m = 256, uc = static_cast<std::size_t>(cols);
+  const la::Matrix a = la::random_matrix(m, m, 9);
+  const la::Matrix b = la::random_matrix(m, uc, 10);
+  la::Matrix c(m, uc);
+  const long long flops = la::gemm_flops(256, 256, cols);
+  const int batch = std::max(1, static_cast<int>((1LL << 22) / flops));
+  Row row;
+  row.kernel = "gemm_narrow_n" + std::to_string(cols);
+  row.size = 256;
+  row.threads = 1;
+  time_best(row, [&] {
+    for (int i = 0; i < batch; ++i) la::gemm(a.view(), b.view(), c.view());
+  });
+  row.seconds /= batch;
+  row.gflops = static_cast<double>(flops) / row.seconds / 1e9;
+  return row;
+}
+
 /// One disjoint (op3) min-plus block task, b x b x b, on one thread — the
 /// FW kernel layer. The kernel is branch-free, so re-running it on its own
 /// output costs the same as on fresh data; small blocks are timed in
@@ -241,9 +290,9 @@ Row bench_fw_functional(long long n, long long b, int threads) {
 }
 
 /// --smoke bit-identity guards: the production kernels against their naive
-/// references (the min-plus kernels against their Level::Scalar run),
-/// across thread counts and every supported SIMD path. Returns the number
-/// of mismatches (0 = pass).
+/// references (the min-plus kernels and the narrow gemm path also against
+/// their Level::Scalar run), across thread counts and every supported SIMD
+/// path. Returns the number of mismatches (0 = pass).
 int run_identity_guards() {
   const simd::Level saved = simd::active_level();
   int failures = 0;
@@ -279,8 +328,22 @@ int run_identity_guards() {
                          d.block(48, 0, 48, 48));
   };
   const la::Matrix g1 = rcs::graph::random_digraph(256, 16, 0.3);
+  // Narrow gemm: C 99 x 3 (a ragged last row strip) += A (99 x 101, a
+  // ragged last chunk of l) * B, as strided blocks of wider matrices like
+  // opMM's column share of D.
+  const la::Matrix wa = la::random_matrix(101, 107, 17);
+  const la::Matrix wb = la::random_matrix(103, 11, 18);
+  const la::Matrix wc = la::random_matrix(99, 13, 19);
+  const auto narrow_a = wa.block(2, 5, 99, 101);
+  const auto narrow_b = wb.block(1, 4, 101, 3);
+  la::Matrix narrow_naive = wc;
+  la::gemm_naive(narrow_a, narrow_b, narrow_naive.block(0, 6, 99, 3));
   common::ThreadPool::set_global_threads(1);
   simd::set_level(simd::Level::Scalar);
+  la::Matrix narrow_ref = wc;
+  la::gemm(narrow_a, narrow_b, narrow_ref.block(0, 6, 99, 3));
+  check(la::bit_equal(narrow_ref.view(), narrow_naive.view()),
+        "gemm narrow [simd=scalar] vs gemm_naive");
   la::Matrix trsm_ref = rhs;
   la::trsm_left_lower_unit(lmat.view(), trsm_ref.view());
   la::Matrix fw_ref = g0;
@@ -310,6 +373,10 @@ int run_identity_guards() {
       la::Matrix x = rhs;
       la::trsm_left_lower_unit(lmat.view(), x.view());
       check(la::bit_equal(x.view(), trsm_ref.view()), "trsm" + tag);
+      la::Matrix narrow = wc;
+      la::gemm(narrow_a, narrow_b, narrow.block(0, 6, 99, 3));
+      check(la::bit_equal(narrow.view(), narrow_ref.view()),
+            "gemm narrow" + tag);
       la::Matrix fw = g0;
       fw_tasks(fw);
       check(la::bit_equal(fw.view(), fw_ref.view()), "fw_block" + tag);
@@ -547,6 +614,12 @@ int main(int argc, char** argv) {
   for (int t : sweep) {
     rows.push_back(bench_trsm(smoke ? 96 : 512, smoke ? 96 : 512, t));
   }
+
+  // --- The LU host kernels at the shapes LU calls them with, one thread:
+  // the opL solve at the lu-mid and lu-p256 block sizes, and an opMM
+  // worker's one- and two-column share at b = 256.
+  for (long long b : {192LL, 256LL}) rows.push_back(bench_trsm_right_upper(b));
+  for (long long cols : {1LL, 2LL}) rows.push_back(bench_gemm_narrow(cols));
 
   // --- Min-plus block kernel (the FW layer), one thread: the fw-fine block
   // size and a large block.

@@ -238,6 +238,17 @@ void gemm_packed_engine(Span2D<const double> a, Span2D<const double> b,
   }
 }
 
+void gemm_narrow(Span2D<const double> a, Span2D<const double> b,
+                 Span2D<double> c, bool b_transposed) {
+  const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
+  if (m == 0 || n == 0 || k == 0) return;
+  // b(l, j) sits at b[l * bl + j * bj]; B^T swaps the two strides.
+  const std::size_t bl = b_transposed ? 1 : b.stride();
+  const std::size_t bj = b_transposed ? b.stride() : 1;
+  simd::active_narrow_kernel()(m, n, k, a.data(), a.stride(), b.data(), bl,
+                               bj, c.data(), c.stride());
+}
+
 }  // namespace detail
 
 void gemm(Span2D<const double> a, Span2D<const double> b, Span2D<double> c) {
@@ -254,8 +265,15 @@ void gemm(Span2D<const double> a, Span2D<const double> b, Span2D<double> c) {
     flops.add(static_cast<std::uint64_t>(2) * m * n * k);
   }
   obs::ScopedTimer span("gemm", "linalg");
-  // Small products: packing overhead dominates; the tiled loop is equally
-  // bit-identical to gemm_naive, so falling back changes nothing but speed.
+  // Dispatch by shape; every path is bit-identical to gemm_naive, so the
+  // rule changes nothing but speed. Narrow C (one rank's column share of a
+  // wider product): the microkernel would run with most of its kNR lanes
+  // empty after packing all of A, so rows go in vector lanes instead.
+  if (n < simd::kNR) {
+    detail::gemm_narrow(a, b, c, /*b_transposed=*/false);
+    return;
+  }
+  // Small products: packing overhead dominates.
   if (m * n * k <= 48 * 48 * 48) {
     gemm_tiled(a, b, c);
     return;
@@ -309,28 +327,57 @@ void trsm_left_lower_unit(Span2D<const double> l, Span2D<double> b) {
   });
 }
 
+namespace {
+/// The right-looking solve of trsm_right_upper for R rows x[0..R) of B at
+/// once: per row, x[i] is scaled by inv[i] and then leaves every later
+/// x[j]; each row of U streams once per R rows.
+template <std::size_t R>
+void trsm_right_upper_rows(Span2D<const double> u, const double* inv,
+                           double* const (&x)[R]) {
+  const std::size_t n = u.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    double xi[R];
+    for (std::size_t q = 0; q < R; ++q) xi[q] = x[q][i] *= inv[i];
+    const double* ui = u.row(i);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const double uij = ui[j];
+      for (std::size_t q = 0; q < R; ++q) x[q][j] -= xi[q] * uij;
+    }
+  }
+}
+}  // namespace
+
 void trsm_right_upper(Span2D<const double> u, Span2D<double> b) {
   RCS_CHECK_MSG(u.rows() == u.cols(), "trsm: U must be square");
   RCS_CHECK_MSG(u.cols() == b.cols(), "trsm: U/B shape mismatch");
   const std::size_t n = u.rows();
-  // Solve X U = B row-wise: for each row x of B,
-  //   x[j] = (b[j] - sum_{i<j} x[i] U[i,j]) * (1 / U[j,j]).
-  // The reciprocal-multiply matches getrf_panel's Gaussian elimination
-  // bit-for-bit, so L10 blocks computed via this trsm (the distributed
-  // design's opL) equal the ones a monolithic panel factorization produces.
+  // Solve X U = B row-wise, right-looking: for each row x of B, once x[i]
+  // is final (scaled by 1 / U[i,i]) its contribution leaves every later
+  // x[j], streaming row i of U contiguously. Each x[j] still sees b[j], then
+  // the subtractions x[i] U[i,j] for i = 0, 1, ..., j-1 in that order, then
+  // one multiply by 1 / U[j,j]:
+  //   x[j] = (b[j] - sum_{i<j} x[i] U[i,j]) * (1 / U[j,j]),
+  // the same operations in the same order as getrf_panel's Gaussian
+  // elimination, so L10 blocks computed via this trsm (the distributed
+  // design's opL) equal the ones a monolithic panel factorization produces
+  // bit-for-bit.
   std::vector<double> inv(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double d = u(j, j);
     RCS_CHECK_MSG(d != 0.0, "trsm: singular U (zero diagonal at " << j << ")");
     inv[j] = 1.0 / d;
   }
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    double* x = b.row(r);
-    for (std::size_t j = 0; j < n; ++j) {
-      double acc = x[j];
-      for (std::size_t i = 0; i < j; ++i) acc -= x[i] * u(i, j);
-      x[j] = acc * inv[j];
-    }
+  // Rows of B are independent systems: four at a time share each streamed
+  // row of U; a ragged tail goes one row at a time.
+  const std::size_t m = b.rows();
+  std::size_t r = 0;
+  for (; r + 4 <= m; r += 4) {
+    double* const x[4] = {b.row(r), b.row(r + 1), b.row(r + 2), b.row(r + 3)};
+    trsm_right_upper_rows(u, inv.data(), x);
+  }
+  for (; r < m; ++r) {
+    double* const x[1] = {b.row(r)};
+    trsm_right_upper_rows(u, inv.data(), x);
   }
 }
 

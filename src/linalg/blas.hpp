@@ -19,11 +19,15 @@ void gemm_naive(Span2D<const double> a, Span2D<const double> b,
 void gemm_tiled(Span2D<const double> a, Span2D<const double> b,
                 Span2D<double> c);
 
-/// C += A * B, packed register-blocked engine (the production host dgemm
-/// substitute): B micropanels are packed cooperatively on the shared
-/// common::ThreadPool, then one fused parallel region per column slab
-/// sweeps the i-tile x k-chunk space with the runtime-dispatched SIMD
-/// microkernel (simd::active_level(); override with RCS_SIMD=scalar|avx2|
+/// C += A * B, the production host dgemm substitute. The kernel is picked
+/// by C's shape alone: fewer than simd::kNR columns (a worker's column
+/// share of a wider product) runs the narrow-column kernel, rows of C in
+/// vector lanes with A read in place (serial); m*n*k <= 48^3 runs
+/// gemm_tiled; anything else runs the packed register-blocked engine: B
+/// micropanels are packed cooperatively on the shared common::ThreadPool,
+/// then one fused parallel region per column slab sweeps the i-tile x
+/// k-chunk space with the runtime-dispatched SIMD microkernel. The SIMD
+/// kernels follow simd::active_level() (override with RCS_SIMD=scalar|avx2|
 /// avx512). Per-entry accumulation order is ascending inner index with no
 /// FMA on every path, so the result is bit-identical to gemm_naive at any
 /// thread count and on every dispatch path.
@@ -42,7 +46,9 @@ void trsm_left_lower_unit(Span2D<const double> l, Span2D<double> b);
 
 /// Solve X * U = B in place of B, with U upper-triangular (non-unit diagonal)
 /// (dtrsm side=Right, uplo=Upper, diag=NonUnit). Used by opL:
-/// L10 = A10 U00^-1.
+/// L10 = A10 U00^-1. Right-looking, with the per-entry operation order of
+/// getrf_panel's elimination, so opL blocks are bit-identical to a
+/// monolithic panel factorization.
 void trsm_right_upper(Span2D<const double> u, Span2D<double> b);
 
 /// A -= B elementwise — the paper's opMS task (Θ(b²), kept on the processor).

@@ -61,9 +61,13 @@ void gemm_nt(Span2D<const double> a, Span2D<const double> b,
                                              << ", B^T " << b.cols() << "x"
                                              << b.rows() << ", C "
                                              << c.rows() << "x" << c.cols());
-  // The packed engine supports B^T natively (it packs b(j, l) micropanels),
+  // The narrow path and the packed engine both read B^T natively,
   // accumulating each C entry in ascending-k order exactly like the loop
-  // below — same bits, so the threshold only trades speed.
+  // below — same bits, so the shape rule (gemm's) only trades speed.
+  if (c.cols() < simd::kNR) {
+    detail::gemm_narrow(a, b, c, /*b_transposed=*/true);
+    return;
+  }
   if (c.rows() * c.cols() * a.cols() > 48 * 48 * 48) {
     detail::gemm_packed_engine(a, b, c, /*b_transposed=*/true);
     return;

@@ -1,7 +1,7 @@
 #pragma once
-// Internal packing + blocked-engine API of the packed GEMM (implemented in
-// blas.cpp). Not part of the public BLAS surface: the FPGA MatMulArray
-// emulation streams its tiles through the same machinery so the host and
+// Internal packing + blocked-engine API of the packed GEMM, and the
+// narrow-column path (implemented in blas.cpp). Not part of the public BLAS
+// surface: the FPGA MatMulArray emulation streams its tiles through the same machinery so the host and
 // "hardware" kernels share one microkernel, one packing layout, and one
 // bit-identity argument.
 //
@@ -43,6 +43,15 @@ void pack_a_tile(Span2D<const double> a, std::size_t i0, std::size_t mc,
 void micro_tile(simd::MicroKernelFn kern, std::size_t kc, const double* ap,
                 const double* bp, Span2D<double> c, std::size_t i0,
                 std::size_t j0, std::size_t mr, std::size_t nr);
+
+/// C += A * B (or A * B^T with `b_transposed`) for C with fewer than
+/// simd::kNR columns, through the active level's narrow-column kernel: rows
+/// of C in vector lanes, A read in place with no pack, ascending inner
+/// index per entry (bit-identical to gemm_naive). Serial: a product this
+/// narrow is one rank's column share of a wider one, and the ranks are the
+/// parallelism. Shapes are NOT validated here; callers check first.
+void gemm_narrow(Span2D<const double> a, Span2D<const double> b,
+                 Span2D<double> c, bool b_transposed);
 
 /// C += A * B (or A * B^T with `b_transposed`) through the packed engine:
 /// per NC-column slab, the B micropanels for every k-chunk are packed

@@ -1,5 +1,7 @@
 #pragma once
-// Runtime-dispatched SIMD microkernels for the packed GEMM engine.
+// Runtime-dispatched SIMD kernels: the microkernel of the packed GEMM
+// engine and the narrow-column kernel gemm runs when C has fewer than kNR
+// columns.
 //
 // The microkernel computes an MR x NR (8x8) block of C against packed A/B
 // micropanels:
@@ -35,6 +37,24 @@ enum class Level { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 using MicroKernelFn = void (*)(std::size_t kc, const double* ap,
                                const double* bp, double* acc);
 
+/// Narrow-column product, for C with 1 <= n < kNR columns:
+///
+///   c[i*ldc + j] += sum over l in [0, k) of a[i*lda + l] * b[l*bl + j*bj]
+///
+/// for i < m, j < n, with l strictly ascending and an unfused multiply then
+/// add per step, like the microkernel. Rows of C sit in vector lanes (8 per
+/// AVX-512 register, 4 per AVX2 register, 8 independent scalar chains on
+/// the portable path): A is read in place, a strip of rows over a chunk of
+/// l at a time, transposed in registers, and never packed. B is addressed
+/// through a row stride `bl` and a column stride `bj`, so A * B (bl = ldb,
+/// bj = 1) and A * B^T (bl = 1, bj = ldb) share the kernel. All pointers
+/// may be unaligned; m and k may be anything (ragged strips and chunks are
+/// handled inside).
+using NarrowKernelFn = void (*)(std::size_t m, std::size_t n, std::size_t k,
+                                const double* a, std::size_t lda,
+                                const double* b, std::size_t bl,
+                                std::size_t bj, double* c, std::size_t ldc);
+
 /// Human-readable name ("scalar", "avx2", "avx512").
 const char* level_name(Level level);
 
@@ -58,5 +78,11 @@ MicroKernelFn micro_kernel(Level level);
 
 /// The microkernel for active_level().
 MicroKernelFn active_micro_kernel();
+
+/// The narrow-column kernel for a specific level (throws if unsupported).
+NarrowKernelFn narrow_kernel(Level level);
+
+/// The narrow-column kernel for active_level().
+NarrowKernelFn active_narrow_kernel();
 
 }  // namespace rcs::linalg::simd

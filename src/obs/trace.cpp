@@ -92,6 +92,28 @@ std::int64_t epoch_ns() {
   return epoch;
 }
 
+/// The counter "<category>.wall.<name>_ns", resolved through the registry
+/// (global mutex, string build, map lookup) once per thread and (category,
+/// name) pointer pair, then served from a per-thread cache. Names must
+/// outlive the process (PhaseSpan's contract), so the pointers are stable
+/// keys, and registry counters are never destroyed. Two literals with equal
+/// text at different addresses just take two cache slots for one counter.
+Counter& phase_wall_counter(const char* category, const char* name) {
+  struct Slot {
+    const char* category;
+    const char* name;
+    Counter* counter;
+  };
+  thread_local std::vector<Slot> cache;
+  for (const Slot& s : cache) {
+    if (s.category == category && s.name == name) return *s.counter;
+  }
+  Counter& c = Registry::global().counter(std::string(category) + ".wall." +
+                                          name + "_ns");
+  cache.push_back(Slot{category, name, &c});
+  return c;
+}
+
 }  // namespace
 
 bool trace_enabled() {
@@ -129,8 +151,7 @@ PhaseSpan::PhaseSpan(const char* category, const char* name)
     : name_(name), cat_(category) {
   trace_ = trace_enabled();
   if (metrics_enabled()) {
-    wall_ns_ = &Registry::global().counter(std::string(category) + ".wall." +
-                                          name + "_ns");
+    wall_ns_ = &phase_wall_counter(category, name);
   }
   if (trace_ || wall_ns_ != nullptr) t0_ = trace_now_ns();
 }

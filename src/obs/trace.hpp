@@ -92,8 +92,9 @@ class ScopedTimer {
 /// RAII phase marker for the functional planes: emits a trace span (when
 /// tracing) AND accumulates the phase's wall time into the counter
 /// "<category>.wall.<name>_ns" (when metrics are on) — the "measured" column
-/// of the drift report. The counter is resolved per construction, so use at
-/// phase granularity, not in inner loops.
+/// of the drift report. Each thread resolves a (category, name) pair's
+/// counter once and caches it by the two pointers, so both must be string
+/// literals (or otherwise outlive the process).
 class PhaseSpan {
  public:
   PhaseSpan(const char* category, const char* name);

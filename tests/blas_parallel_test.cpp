@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -259,6 +261,84 @@ TEST_P(BlasParallel, GemmNtBitIdenticalAcrossSimdPaths) {
     EXPECT_TRUE(la::bit_equal(c.view(), ref.view()))
         << "threads=" << GetParam() << " simd=" << simd::level_name(level);
   });
+}
+
+// Salt a matrix with the IEEE special values the narrow kernel's lanes must
+// carry through untouched: +inf, -inf, NaN, +0 and -0 (-0 + -0 stays -0,
+// so a C entry of -0 with all-zero products must come back as -0). The NaN
+// is the one this machine makes for inf * 0, so every NaN in play has one
+// bit pattern: when both operands of an add are NaN, IEEE 754 leaves open
+// which one comes back, and the compiler may order an add's operands
+// either way.
+void salt_specials(la::Matrix& x, std::size_t seed) {
+  const double inf = std::numeric_limits<double>::infinity();
+  volatile double zero = 0.0;
+  const double specials[] = {inf, -inf, inf * zero, 0.0, -0.0};
+  for (std::size_t i = seed % 7; i < x.size(); i += 13) {
+    x.data()[i] = specials[(i + seed) % 5];
+  }
+}
+
+// The narrow-column path (C with fewer than simd::kNR columns) against
+// gemm_naive, bitwise: n in {1,2,3,7} x m in {1,3,7,8,9,257} x k in
+// {1,7,255,256}, on strided blocks of wider A, B and C (opMM's dshare is a
+// column block of a wider D), at every supported SIMD level, for gemm and
+// for gemm_nt (whose B^T takes the same kernel). Once on finite data, where
+// any change to an entry's accumulation order shows in its rounding, and
+// once salted with special values, which reach most long rows.
+TEST_P(BlasParallel, GemmNarrowBitIdenticalToNaiveAcrossSimdPaths) {
+  const std::size_t ns[] = {1, 2, 3, 7};
+  const std::size_t ms[] = {1, 3, 7, 8, 9, 257};
+  const std::size_t ks[] = {1, 7, 255, 256};
+  for (bool salted : {false, true}) {
+    la::Matrix wa = seeded(260, 261, 701);
+    la::Matrix wb = seeded(259, 12, 702);
+    la::Matrix wbt = seeded(11, 259, 703);
+    la::Matrix wc = seeded(258, 13, 704);
+    if (salted) {
+      salt_specials(wa, 1);
+      salt_specials(wb, 2);
+      salt_specials(wbt, 3);
+      salt_specials(wc, 4);
+    }
+    for (std::size_t n : ns) {
+      for (std::size_t m : ms) {
+        for (std::size_t k : ks) {
+          const auto a = wa.block(2, 3, m, k);
+          const auto b = wb.block(1, 4, k, n);
+          const auto bt = wbt.block(3, 2, n, k);
+          la::Matrix ref = wc;
+          la::gemm_naive(a, b, ref.block(1, 5, m, n));
+          // gemm_naive is the oracle for gemm_nt too, on an explicit copy
+          // of B^T: a hand loop here may add its operands the other way
+          // round, and which NaN an add returns when both are NaN follows
+          // the operand order.
+          la::Matrix bt_t(k, n);
+          for (std::size_t l = 0; l < k; ++l) {
+            for (std::size_t j = 0; j < n; ++j) bt_t(l, j) = bt(j, l);
+          }
+          la::Matrix ref_nt = wc;
+          la::gemm_naive(a, bt_t.view(), ref_nt.block(1, 5, m, n));
+          for_each_simd_level([&](simd::Level level) {
+            simd::set_level(level);
+            const std::string tag =
+                "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                " n=" + std::to_string(n) + " salted=" +
+                std::to_string(salted) + " threads=" +
+                std::to_string(GetParam()) +
+                " simd=" + simd::level_name(level);
+            la::Matrix c = wc;
+            la::gemm(a, b, c.block(1, 5, m, n));
+            EXPECT_TRUE(la::bit_equal(c.view(), ref.view())) << "gemm " << tag;
+            la::Matrix c_nt = wc;
+            la::gemm_nt(a, bt, c_nt.block(1, 5, m, n));
+            EXPECT_TRUE(la::bit_equal(c_nt.view(), ref_nt.view()))
+                << "gemm_nt " << tag;
+          });
+        }
+      }
+    }
+  }
 }
 
 TEST_P(BlasParallel, TrsmLeftLowerUnitBitIdenticalToSerial) {

@@ -37,9 +37,10 @@ core::SystemParams xd1_p(int p) {
   return sys;
 }
 
-// The kernel-level contract behind every test in this file: gemm, the
-// MatMulArray emulation (all four variants), trsm_left_lower_unit, the
-// min-plus fw_block (disjoint and aliased) and blocked_floyd_warshall
+// The kernel-level contract behind every test in this file: gemm (packed
+// and narrow-column), the MatMulArray emulation (all four variants),
+// trsm_left_lower_unit, trsm_right_upper, the min-plus fw_block (disjoint
+// and aliased) and blocked_floyd_warshall
 // produce byte-identical output across every (SIMD path x thread count)
 // combination, with threads=1 + scalar dispatch as the reference.
 TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
@@ -51,6 +52,15 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   la::Matrix lower = la::random_matrix(m, m, 15);
   for (std::size_t i = 0; i < m; ++i) lower(i, i) = 1.0;
   const la::Matrix rhs = la::random_matrix(m, n, 16);
+  // opL: X U = B with U upper, well conditioned; opMM at a worker's
+  // two-column share (the narrow gemm path), on a strided block.
+  la::Matrix upper = la::random_matrix(n, n, 19, -0.1, 0.1);
+  for (std::size_t i = 0; i < n; ++i) {
+    upper(i, i) = 2.0;
+    for (std::size_t j = 0; j < i; ++j) upper(i, j) = 0.0;
+  }
+  const auto narrow_b = b.block(0, 5, k, 2);
+  const la::Matrix e_narrow0 = la::random_matrix(m, 2, 20);
   const rcs::fpga::MatMulArray array(
       core::SystemParams::cray_xd1().mm_fpga);
   namespace simd = rcs::linalg::simd;
@@ -66,13 +76,17 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   array.multiply_accumulate_nt(a.view(), bt.view(), mm_nt_ref.view());
   la::Matrix trsm_ref = rhs;
   la::trsm_left_lower_unit(lower.view(), trsm_ref.view());
+  la::Matrix opl_ref = rhs;
+  la::trsm_right_upper(upper.view(), opl_ref.view());
+  la::Matrix narrow_ref = e_narrow0;
+  la::gemm(a.view(), narrow_b, narrow_ref.view());
   // fw_block on a ragged op3 task and an in-place op1 task;
   // blocked_floyd_warshall at b = 64 (waves split across the pool) and
   // b = 16 (waves cheap enough to run serially).
   const la::Matrix g = gr::random_digraph(70, 17, 0.5);
   const auto fw_op3 = [&](la::Matrix& d) {
     gr::fw_block(d.block(0, 0, 29, 37), d.block(0, 40, 29, 19),
-                 d.block(35, 41, 19, 37));
+                 d.block(35, 30, 19, 37));
     gr::fw_block(d.block(35, 2, 33, 33), d.block(35, 2, 33, 33),
                  d.block(35, 2, 33, 33));
   };
@@ -105,6 +119,14 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
       la::Matrix x = rhs;
       la::trsm_left_lower_unit(lower.view(), x.view());
       EXPECT_TRUE(la::bit_equal(x.view(), trsm_ref.view())) << "trsm " << tag;
+      la::Matrix opl = rhs;
+      la::trsm_right_upper(upper.view(), opl.view());
+      EXPECT_TRUE(la::bit_equal(opl.view(), opl_ref.view()))
+          << "trsm_right_upper " << tag;
+      la::Matrix narrow = e_narrow0;
+      la::gemm(a.view(), narrow_b, narrow.view());
+      EXPECT_TRUE(la::bit_equal(narrow.view(), narrow_ref.view()))
+          << "gemm narrow " << tag;
       la::Matrix fw = g;
       fw_op3(fw);
       EXPECT_TRUE(la::bit_equal(fw.view(), fw_block_ref.view()))

@@ -3,6 +3,11 @@
 // factorization (unblocked, panel, blocked), and the generators.
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +124,26 @@ TEST(Gemm, StridedBlocksCompose) {
   EXPECT_TRUE(la::bit_equal(c.view(), ref.view()));
 }
 
+TEST(Matrix, StorageIs64ByteAligned) {
+  const auto aligned = [](const la::Matrix& m) {
+    return reinterpret_cast<std::uintptr_t>(m.data()) % 64 == 0;
+  };
+  for (std::size_t cols : {1, 3, 7, 8, 33}) {
+    const la::Matrix a = la::random_matrix(5, cols, 3);
+    EXPECT_TRUE(aligned(a)) << "construct cols=" << cols;
+    la::Matrix copy = a;
+    EXPECT_TRUE(aligned(copy)) << "copy cols=" << cols;
+    la::Matrix assigned(2, 2);
+    assigned = a;
+    EXPECT_TRUE(aligned(assigned)) << "copy-assign cols=" << cols;
+    const la::Matrix moved = std::move(copy);
+    EXPECT_TRUE(aligned(moved)) << "move cols=" << cols;
+    const la::Matrix sub = la::Matrix::from_view(a.block(1, 0, 3, cols));
+    EXPECT_TRUE(aligned(sub)) << "from_view cols=" << cols;
+    EXPECT_EQ(sub.view().stride(), cols);  // rows stay packed, no padding
+  }
+}
+
 TEST(Trsm, LeftLowerUnitSolves) {
   const std::size_t n = 24, m = 10;
   la::Matrix l = la::random_matrix(n, n, 19, 0.1, 1.0);
@@ -145,6 +170,57 @@ TEST(Trsm, RightUpperSolves) {
   la::gemm_overwrite(x.view(), u.view(), bmat.view());
   la::trsm_right_upper(u.view(), bmat.view());
   EXPECT_LT(la::max_abs_diff(bmat.view(), x.view()), 1e-9);
+}
+
+// trsm_right_upper's former left-looking loop, kept verbatim as the oracle
+// of the right-looking one: each x[j] is a dot product walking column j of
+// U, x[j] = (b[j] - sum_{i<j} x[i] U[i,j]) * (1 / U[j,j]).
+void trsm_right_upper_dot(rcs::Span2D<const double> u, rcs::Span2D<double> b) {
+  const std::size_t n = u.rows();
+  std::vector<double> inv(n);
+  for (std::size_t j = 0; j < n; ++j) inv[j] = 1.0 / u(j, j);
+  for (std::size_t r = 0; r < b.rows(); ++r) {
+    double* x = b.row(r);
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = x[j];
+      for (std::size_t i = 0; i < j; ++i) acc -= x[i] * u(i, j);
+      x[j] = acc * inv[j];
+    }
+  }
+}
+
+// Right-looking vs the dot-product oracle, bitwise: ragged triangle orders
+// and right-hand-side counts, U and B as strided blocks of wider matrices,
+// B salted with +0 and -0 (a -0 entry whose subtractions are all +0 must
+// stay -0) and, in every third row, NaNs of both signs (NaN payloads must
+// come out the same; a NaN poisons the rest of its row, so the other rows
+// stay finite and show any change of operation order in their rounding).
+TEST(Trsm, RightUpperBitIdenticalToDotProductLoop) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, nan, -nan};
+  for (std::size_t n : {1, 2, 7, 8, 9, 33, 192, 257}) {
+    for (std::size_t m : {1, 3, 17}) {
+      la::Matrix wu = la::random_matrix(n + 3, n + 5, 41, -0.1, 0.1);
+      const auto u = wu.block(2, 3, n, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        u(i, i) = (i % 2 == 0 ? 2.0 : -3.0) + 0.01 * static_cast<double>(i);
+        for (std::size_t j = 0; j < i; ++j) u(i, j) = 0.0;
+      }
+      la::Matrix wb = la::random_matrix(m + 2, n + 4, 43);
+      for (std::size_t r = 0; r < m; ++r) {
+        const std::size_t kinds = r % 3 == 2 ? 4 : 2;
+        for (std::size_t j = r % 5; j < n; j += 11) {
+          wb(1 + r, 2 + j) = specials[(r + j) % kinds];
+        }
+      }
+      la::Matrix ref = wb;
+      trsm_right_upper_dot(u, ref.block(1, 2, m, n));
+      la::Matrix got = wb;
+      la::trsm_right_upper(u, got.block(1, 2, m, n));
+      EXPECT_TRUE(la::bit_equal(got.view(), ref.view()))
+          << "n=" << n << " m=" << m;
+    }
+  }
 }
 
 TEST(Trsm, SingularUpperThrows) {
