@@ -1,11 +1,12 @@
 // Microbenchmarks of the computational substrates: host gemm (packed and
-// narrow-column) and trsm, the
+// narrow-column), LU's panel kernels (getrf, both trsm), the
 // Floyd–Warshall block kernels, and the bit-accurate IEEE-754 cores (soft
 // vs native). google-benchmark binary.
 
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/system.hpp"
 #include "fparith/ieee754.hpp"
 #include "fpga/matmul_array.hpp"
@@ -153,6 +154,62 @@ void BM_GetrfBlocked(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n / 3);
 }
 BENCHMARK(BM_GetrfBlocked)->Arg(128)->Arg(256);
+
+// LU's panel kernels at the block sizes of lu-mid and lu-p256 (b = 192,
+// 256), per dispatch level, one thread: opLU (getrf_unblocked), opL
+// (trsm_right_upper) and opU (trsm_left_lower_unit). Each solves its column
+// blocks with the scalar loop and the rest through the packed engine, so
+// the level moves the engine's share. Levels the CPU lacks are skipped.
+enum class PanelOp { OpLU, OpL, OpU };
+
+void BM_PanelKernel(benchmark::State& state, PanelOp op) {
+  namespace simd = linalg::simd;
+  const auto level = static_cast<simd::Level>(state.range(0));
+  if (!simd::level_supported(level)) {
+    state.SkipWithError("SIMD level not supported on this CPU");
+    return;
+  }
+  const std::size_t b = state.range(1);
+  const simd::Level saved = simd::active_level();
+  const int saved_threads = common::ThreadPool::global().threads();
+  simd::set_level(level);
+  common::ThreadPool::set_global_threads(1);
+  const linalg::Matrix a0 = linalg::diagonally_dominant(b, 26);
+  linalg::Matrix lu = a0;
+  linalg::getrf_unblocked(lu.view());  // L and U of a healthy LU
+  const linalg::Matrix rhs = linalg::random_matrix(b, b, 27);
+  linalg::Matrix x(b, b);
+  for (auto _ : state) {
+    state.PauseTiming();
+    x = op == PanelOp::OpLU ? a0 : rhs;
+    state.ResumeTiming();
+    switch (op) {
+      case PanelOp::OpLU: linalg::getrf_unblocked(x.view()); break;
+      case PanelOp::OpL: linalg::trsm_right_upper(lu.view(), x.view()); break;
+      case PanelOp::OpU: linalg::trsm_left_lower_unit(lu.view(), x.view()); break;
+    }
+    benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
+  }
+  simd::set_level(saved);
+  common::ThreadPool::set_global_threads(saved_threads);
+  const std::int64_t flops = op == PanelOp::OpLU
+                                 ? linalg::getrf_flops(b)
+                                 : linalg::trsm_flops(b, b);
+  state.SetItemsProcessed(state.iterations() * flops);
+  state.SetLabel(simd::level_name(level));
+}
+const std::vector<std::vector<std::int64_t>> kPanelArgs = {
+    {static_cast<int>(linalg::simd::Level::Scalar),
+     static_cast<int>(linalg::simd::Level::Avx2),
+     static_cast<int>(linalg::simd::Level::Avx512)},
+    {192, 256}};
+BENCHMARK_CAPTURE(BM_PanelKernel, getrf_unblocked, PanelOp::OpLU)
+    ->ArgsProduct(kPanelArgs);
+BENCHMARK_CAPTURE(BM_PanelKernel, trsm_right_upper, PanelOp::OpL)
+    ->ArgsProduct(kPanelArgs);
+BENCHMARK_CAPTURE(BM_PanelKernel, trsm_left_lower_unit, PanelOp::OpU)
+    ->ArgsProduct(kPanelArgs);
 
 // The min-plus kernel on one b x b op3 task, per dispatch level (b = 32 is
 // the fw-fine block); levels the CPU lacks are skipped.

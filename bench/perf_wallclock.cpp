@@ -3,8 +3,8 @@
 // Unlike the fig*/table1 benches (which report *simulated* seconds), this
 // harness measures real elapsed time of the functional substrates — the
 // packed parallel gemm vs the legacy tiled loop vs the naive reference, the
-// streamed MatMulArray FPGA emulation, LU's opL solve and narrow opMM gemm,
-// the min-plus fw_block, and mid-size
+// streamed MatMulArray FPGA emulation, LU's opLU factorization, opL solve
+// and narrow opMM gemm, the min-plus fw_block, and mid-size
 // lu_functional / fw_functional runs — across a thread sweep, and writes
 // BENCH_perf.json so future PRs have a machine-readable perf trajectory to
 // regress against.
@@ -17,8 +17,8 @@
 // Usage: perf_wallclock [--smoke] [output.json]
 //   (default BENCH_perf.json in cwd; --smoke runs small sizes, skips the
 //    drift/lookahead/fault sections, and cross-checks every timed kernel
-//    against its naive reference bit-for-bit across thread counts and every
-//    supported SIMD path — non-zero exit on any mismatch.)
+//    against its naive or scalar-loop reference bit-for-bit across thread
+//    counts and every supported SIMD path — non-zero exit on any mismatch.)
 
 #include <algorithm>
 #include <chrono>
@@ -40,12 +40,14 @@
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
+#include "linalg/getrf.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
 #include "lookahead_sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/provenance.hpp"
 #include "obs/trace.hpp"
+#include "kernel_oracles.hpp"
 #include "scaling_sweep.hpp"
 
 namespace la = rcs::linalg;
@@ -201,6 +203,25 @@ Row bench_trsm_right_upper(long long b) {
   return row;
 }
 
+/// One opLU block factorization, getrf_unblocked on a b x b diagonally
+/// dominant block, on one thread, at the LU block sizes.
+Row bench_getrf(long long b) {
+  common::ThreadPool::set_global_threads(1);
+  const std::size_t ub = static_cast<std::size_t>(b);
+  const la::Matrix a0 = la::diagonally_dominant(ub, 9);
+  la::Matrix f(ub, ub);
+  Row row;
+  row.kernel = "getrf_unblocked";
+  row.size = b;
+  row.threads = 1;
+  time_best(row, [&] {
+    f = a0;
+    la::getrf_unblocked(f.view());
+  });
+  row.gflops = static_cast<double>(la::getrf_flops(b)) / row.seconds / 1e9;
+  return row;
+}
+
 /// gemm at an LU opMM worker's shape: C (256 x cols) += A (256 x 256) *
 /// B (256 x cols), one thread, cols < simd::kNR so it takes the narrow
 /// path. Timed in batches of at least ~2^22 flops and reported per call.
@@ -290,9 +311,10 @@ Row bench_fw_functional(long long n, long long b, int threads) {
 }
 
 /// --smoke bit-identity guards: the production kernels against their naive
-/// references (the min-plus kernels and the narrow gemm path also against
-/// their Level::Scalar run), across thread counts and every supported SIMD
-/// path. Returns the number of mismatches (0 = pass).
+/// references (LU's blocked panel kernels against their former scalar
+/// loops; the min-plus kernels and the narrow gemm path against their
+/// Level::Scalar run), across thread counts and every supported SIMD path.
+/// Returns the number of mismatches (0 = pass).
 int run_identity_guards() {
   const simd::Level saved = simd::active_level();
   int failures = 0;
@@ -318,6 +340,19 @@ int run_identity_guards() {
   la::Matrix lmat = la::random_matrix(n, n, 13);
   for (std::size_t i = 0; i < n; ++i) lmat(i, i) = 1.0;
   const la::Matrix rhs = la::random_matrix(n, n, 14);
+  // LU's panel kernels (three column blocks at n = 96) against the scalar
+  // loops they replaced: opU on lmat, opL on the U of a factored block,
+  // opLU on a tall panel.
+  la::Matrix trsm_ref = rhs;
+  rcs::oracle::trsm_left_lower_unit(lmat.view(), trsm_ref.view());
+  const la::Matrix dd = la::diagonally_dominant(n, 20);
+  la::Matrix umat = dd;
+  rcs::oracle::getrf_panel(umat.view());
+  la::Matrix opl_ref = rhs;
+  rcs::oracle::trsm_right_upper(umat.view(), opl_ref.view());
+  const la::Matrix panel0 = la::Matrix::from_view(dd.block(0, 0, n, 70));
+  la::Matrix panel_ref = panel0;
+  rcs::oracle::getrf_panel(panel_ref.view());
   // Min-plus: a ragged disjoint (op3) and an in-place (op1) fw_block task,
   // then blocked_floyd_warshall at b = 64, whose waves go through the pool.
   const la::Matrix g0 = rcs::graph::random_digraph(n, 15, 0.5);
@@ -344,8 +379,6 @@ int run_identity_guards() {
   la::gemm(narrow_a, narrow_b, narrow_ref.block(0, 6, 99, 3));
   check(la::bit_equal(narrow_ref.view(), narrow_naive.view()),
         "gemm narrow [simd=scalar] vs gemm_naive");
-  la::Matrix trsm_ref = rhs;
-  la::trsm_left_lower_unit(lmat.view(), trsm_ref.view());
   la::Matrix fw_ref = g0;
   fw_tasks(fw_ref);
   la::Matrix bfw_ref = g1;
@@ -373,6 +406,17 @@ int run_identity_guards() {
       la::Matrix x = rhs;
       la::trsm_left_lower_unit(lmat.view(), x.view());
       check(la::bit_equal(x.view(), trsm_ref.view()), "trsm" + tag);
+      la::Matrix opl = rhs;
+      la::trsm_right_upper(umat.view(), opl.view());
+      check(la::bit_equal(opl.view(), opl_ref.view()),
+            "trsm_right_upper" + tag);
+      la::Matrix f = dd;
+      la::getrf_unblocked(f.view());
+      check(la::bit_equal(f.view(), umat.view()), "getrf_unblocked" + tag);
+      la::Matrix panel = panel0;
+      la::getrf_panel(panel.view());
+      check(la::bit_equal(panel.view(), panel_ref.view()),
+            "getrf_panel" + tag);
       la::Matrix narrow = wc;
       la::gemm(narrow_a, narrow_b, narrow.block(0, 6, 99, 3));
       check(la::bit_equal(narrow.view(), narrow_ref.view()),
@@ -616,8 +660,9 @@ int main(int argc, char** argv) {
   }
 
   // --- The LU host kernels at the shapes LU calls them with, one thread:
-  // the opL solve at the lu-mid and lu-p256 block sizes, and an opMM
-  // worker's one- and two-column share at b = 256.
+  // the opLU factorization and opL solve at the lu-mid and lu-p256 block
+  // sizes, and an opMM worker's one- and two-column share at b = 256.
+  for (long long b : {192LL, 256LL}) rows.push_back(bench_getrf(b));
   for (long long b : {192LL, 256LL}) rows.push_back(bench_trsm_right_upper(b));
   for (long long cols : {1LL, 2LL}) rows.push_back(bench_gemm_narrow(cols));
 

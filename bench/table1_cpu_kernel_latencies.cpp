@@ -6,7 +6,8 @@
 //     uses), and
 //   * a host-measured validation at a smaller block size, demonstrating the
 //     functional kernels behind the model (absolute rates differ from a
-//     2.2 GHz Opteron running ACML; the opLU : opL ratio is the shape).
+//     2.2 GHz Opteron running ACML, and so does the opLU : opL ratio; the
+//     model keeps the paper's).
 
 #include <chrono>
 #include <iostream>
@@ -56,10 +57,12 @@ int main() {
   linalg::Matrix rhs = linalg::random_matrix(bv, bv, 2);
   const double t_opu =
       time_once([&] { linalg::trsm_left_lower_unit(tri.view(), rhs.view()); });
-  // opL times trsm_right_upper's right-looking loop (row i of U streamed
-  // contiguously, four rows of the right-hand side at a time), which runs
-  // faster than getrf_unblocked here: the host ratio below no longer shows
-  // the paper's opL > opLU shape, which the calibrated model keeps.
+  // All three kernels are blocked: each 32-column block is solved by a
+  // scalar loop and the rest is one packed-gemm update. The two solves also
+  // split their independent rows (opL) or columns (opU) across the pool,
+  // while getrf's column blocks form a serial chain, so opL runs several
+  // times faster than opLU here: the host ratio below does not show the
+  // paper's opL > opLU shape, which the calibrated model keeps.
   linalg::Matrix rhs2 = linalg::random_matrix(bv, bv, 3);
   const double t_opl =
       time_once([&] { linalg::trsm_right_upper(tri.view(), rhs2.view()); });

@@ -70,8 +70,9 @@ class MatMulArray {
   }
 
   /// Functional E += C x D with the host FPU (fast path; bit-identical to
-  /// the soft-core path on IEEE hardware). Throws when the result tile
-  /// exceeds the device's SRAM.
+  /// the soft-core path on IEEE hardware for every non-NaN result, while a
+  /// NaN result stays NaN at the same position with unspecified payload
+  /// and sign). Throws when the result tile exceeds the device's SRAM.
   void multiply_accumulate(Span2D<const double> c, Span2D<const double> d,
                            Span2D<double> e) const;
 

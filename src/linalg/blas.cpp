@@ -127,7 +127,8 @@ void pack_b_micropanel(Span2D<const double> b, bool transposed,
 }
 
 void pack_a_tile(Span2D<const double> a, std::size_t i0, std::size_t mc,
-                 std::size_t k0, std::size_t kc, std::vector<double>& ap) {
+                 std::size_t k0, std::size_t kc, bool negate,
+                 std::vector<double>& ap) {
   const std::size_t nstrips = ceil_div(mc, MR);
   ap.assign(nstrips * kc * MR, 0.0);
   for (std::size_t ip = 0; ip < nstrips; ++ip) {
@@ -136,7 +137,11 @@ void pack_a_tile(Span2D<const double> a, std::size_t i0, std::size_t mc,
     const std::size_t h = std::min(MR, i0 + mc - i);
     for (std::size_t ir = 0; ir < h; ++ir) {
       const double* arow = a.row(i + ir) + k0;
-      for (std::size_t l = 0; l < kc; ++l) strip[l * MR + ir] = arow[l];
+      if (negate) {
+        for (std::size_t l = 0; l < kc; ++l) strip[l * MR + ir] = -arow[l];
+      } else {
+        for (std::size_t l = 0; l < kc; ++l) strip[l * MR + ir] = arow[l];
+      }
     }
   }
 }
@@ -166,7 +171,7 @@ void micro_tile(simd::MicroKernelFn kern, std::size_t kc, const double* ap,
 }
 
 void gemm_packed_engine(Span2D<const double> a, Span2D<const double> b,
-                        Span2D<double> c, bool b_transposed) {
+                        Span2D<double> c, bool b_transposed, bool negate_a) {
   const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
   if (m == 0 || n == 0 || k == 0) return;
   const simd::MicroKernelFn kern = simd::active_micro_kernel();
@@ -219,7 +224,7 @@ void gemm_packed_engine(Span2D<const double> a, Span2D<const double> b,
             for (std::size_t kb = 0; kb < nkc; ++kb) {
               const std::size_t k0 = kb * kKC;
               const std::size_t kc = std::min(kKC, k - k0);
-              pack_a_tile(a, i0, mc, k0, kc, apack);
+              pack_a_tile(a, i0, mc, k0, kc, negate_a, apack);
               const double* slab = bbase + kb * npanels * panel_stride;
               for (std::size_t jp = 0; jp < npanels; ++jp) {
                 const double* bp = slab + jp * panel_stride;
@@ -247,6 +252,28 @@ void gemm_narrow(Span2D<const double> a, Span2D<const double> b,
   const std::size_t bj = b_transposed ? b.stride() : 1;
   simd::active_narrow_kernel()(m, n, k, a.data(), a.stride(), b.data(), bl,
                                bj, c.data(), c.stride());
+}
+
+void gemm_sub_skip_zeros(Span2D<const double> a, Span2D<const double> b,
+                         Span2D<double> c) {
+  bool has_zero = false;
+  for (std::size_t i = 0; i < a.rows() && !has_zero; ++i) {
+    const double* ai = a.row(i);
+    has_zero = std::find(ai, ai + a.cols(), 0.0) != ai + a.cols();
+  }
+  if (!has_zero) {
+    gemm_packed_engine(a, b, c, /*b_transposed=*/false, /*negate_a=*/true);
+    return;
+  }
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    double* ci = c.row(i);
+    for (std::size_t l = 0; l < a.cols(); ++l) {
+      const double ail = a(i, l);
+      if (ail == 0.0) continue;
+      const double* bl = b.row(l);
+      for (std::size_t j = 0; j < c.cols(); ++j) ci[j] -= ail * bl[j];
+    }
+  }
 }
 
 }  // namespace detail
@@ -305,43 +332,59 @@ void trsm_left_lower_unit(Span2D<const double> l, Span2D<double> b) {
   const std::size_t n = l.rows();
   const std::size_t m = b.cols();
   if (n == 0 || m == 0) return;
-  // Forward substitution: X[i] = B[i] - sum_{j<i} L[i,j] X[j]. Columns of B
-  // are independent systems, so the solve parallelizes over disjoint column
-  // strips with the per-column (i, j) order — and therefore every output
-  // bit — unchanged at any thread count. The grain heuristic keeps small
-  // right-hand sides (the LU opL panels are often narrow) serial: one
-  // column costs ~n^2 flops of work.
+  // Forward substitution: X[i] = B[i] - sum_{j<i} L[i,j] X[j], with the
+  // subtractions in ascending j and an exact-zero L[i,j] skipped. Blocked
+  // right-looking: rows [j0, j1) of X are solved by the scalar loop, then
+  // leave every later row in one packed update,
+  //   X[j1:n] -= L[j1:n, j0:j1] * X[j0:j1],
+  // which keeps each entry's subtractions in ascending j (and the skips).
+  // Columns of B are independent systems, so the solve parallelizes over
+  // disjoint column strips (nested updates then run serially) with every
+  // output bit unchanged at any thread count. The grain heuristic keeps
+  // small right-hand sides serial: one column costs ~n^2 flops of work.
   const std::size_t grain = common::grain_for_flops(
       static_cast<double>(n) * static_cast<double>(n));
   common::parallel_for(0, m, grain, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      double* bi = b.row(i);
-      for (std::size_t j = 0; j < i; ++j) {
-        const double lij = l(i, j);
-        if (lij == 0.0) continue;
-        const double* bj = b.row(j);
-        for (std::size_t col = c0; col < c1; ++col) bi[col] -= lij * bj[col];
+    const Span2D<double> x = b.block(0, c0, n, c1 - c0);
+    for (std::size_t j0 = 0; j0 < n; j0 += detail::kPanelNB) {
+      const std::size_t j1 = std::min(j0 + detail::kPanelNB, n);
+      for (std::size_t i = j0 + 1; i < j1; ++i) {
+        double* xi = x.row(i);
+        for (std::size_t j = j0; j < i; ++j) {
+          const double lij = l(i, j);
+          if (lij == 0.0) continue;
+          const double* xj = x.row(j);
+          for (std::size_t col = 0; col < x.cols(); ++col) {
+            xi[col] -= lij * xj[col];
+          }
+        }
+        // Unit diagonal: no divide.
       }
-      // Unit diagonal: no divide.
+      if (j1 < n) {
+        detail::gemm_sub_skip_zeros(l.block(j1, j0, n - j1, j1 - j0),
+                                    x.block(j0, 0, j1 - j0, x.cols()),
+                                    x.block(j1, 0, n - j1, x.cols()));
+      }
     }
   });
 }
 
 namespace {
 /// The right-looking solve of trsm_right_upper for R rows x[0..R) of B at
-/// once: per row, x[i] is scaled by inv[i] and then leaves every later
-/// x[j]; each row of U streams once per R rows.
+/// once, over the triangle u (columns of x from `col0`): per row, x[i] is
+/// scaled by inv[i] and then leaves every later x[j]; each row of U
+/// streams once per R rows.
 template <std::size_t R>
 void trsm_right_upper_rows(Span2D<const double> u, const double* inv,
-                           double* const (&x)[R]) {
+                           std::size_t col0, double* const (&x)[R]) {
   const std::size_t n = u.rows();
   for (std::size_t i = 0; i < n; ++i) {
     double xi[R];
-    for (std::size_t q = 0; q < R; ++q) xi[q] = x[q][i] *= inv[i];
+    for (std::size_t q = 0; q < R; ++q) xi[q] = x[q][col0 + i] *= inv[i];
     const double* ui = u.row(i);
     for (std::size_t j = i + 1; j < n; ++j) {
       const double uij = ui[j];
-      for (std::size_t q = 0; q < R; ++q) x[q][j] -= xi[q] * uij;
+      for (std::size_t q = 0; q < R; ++q) x[q][col0 + j] -= xi[q] * uij;
     }
   }
 }
@@ -353,32 +396,54 @@ void trsm_right_upper(Span2D<const double> u, Span2D<double> b) {
   const std::size_t n = u.rows();
   // Solve X U = B row-wise, right-looking: for each row x of B, once x[i]
   // is final (scaled by 1 / U[i,i]) its contribution leaves every later
-  // x[j], streaming row i of U contiguously. Each x[j] still sees b[j], then
-  // the subtractions x[i] U[i,j] for i = 0, 1, ..., j-1 in that order, then
-  // one multiply by 1 / U[j,j]:
+  // x[j]. Each x[j] sees b[j], then the subtractions x[i] U[i,j] for
+  // i = 0, 1, ..., j-1 in that order, then one multiply by 1 / U[j,j]:
   //   x[j] = (b[j] - sum_{i<j} x[i] U[i,j]) * (1 / U[j,j]),
   // the same operations in the same order as getrf_panel's Gaussian
   // elimination, so L10 blocks computed via this trsm (the distributed
   // design's opL) equal the ones a monolithic panel factorization produces
-  // bit-for-bit.
+  // bit-for-bit. Blocked: columns [j0, j1) of X are solved by the scalar
+  // loop, then leave every later column in one packed update,
+  //   X[:, j1:n] -= X[:, j0:j1] * U[j0:j1, j1:n],
+  // which keeps each entry's subtractions in ascending i.
   std::vector<double> inv(n);
   for (std::size_t j = 0; j < n; ++j) {
     const double d = u(j, j);
     RCS_CHECK_MSG(d != 0.0, "trsm: singular U (zero diagonal at " << j << ")");
     inv[j] = 1.0 / d;
   }
-  // Rows of B are independent systems: four at a time share each streamed
-  // row of U; a ragged tail goes one row at a time.
-  const std::size_t m = b.rows();
-  std::size_t r = 0;
-  for (; r + 4 <= m; r += 4) {
-    double* const x[4] = {b.row(r), b.row(r + 1), b.row(r + 2), b.row(r + 3)};
-    trsm_right_upper_rows(u, inv.data(), x);
-  }
-  for (; r < m; ++r) {
-    double* const x[1] = {b.row(r)};
-    trsm_right_upper_rows(u, inv.data(), x);
-  }
+  if (n == 0 || b.rows() == 0) return;
+  // Rows of B are independent systems, so the solve parallelizes over
+  // disjoint row strips (nested updates then run serially) with every
+  // output bit unchanged at any thread count; one row costs ~n^2 flops.
+  const std::size_t grain = common::grain_for_flops(
+      static_cast<double>(n) * static_cast<double>(n));
+  common::parallel_for(0, b.rows(), grain, [&](std::size_t r0, std::size_t r1) {
+    const Span2D<double> x = b.block(r0, 0, r1 - r0, n);
+    const std::size_t m = x.rows();
+    for (std::size_t j0 = 0; j0 < n; j0 += detail::kPanelNB) {
+      const std::size_t j1 = std::min(j0 + detail::kPanelNB, n);
+      const auto ujj = u.block(j0, j0, j1 - j0, j1 - j0);
+      // Four rows at a time share each streamed row of U; a ragged tail
+      // goes one row at a time.
+      std::size_t r = 0;
+      for (; r + 4 <= m; r += 4) {
+        double* const xr[4] = {x.row(r), x.row(r + 1), x.row(r + 2),
+                               x.row(r + 3)};
+        trsm_right_upper_rows(ujj, inv.data() + j0, j0, xr);
+      }
+      for (; r < m; ++r) {
+        double* const xr[1] = {x.row(r)};
+        trsm_right_upper_rows(ujj, inv.data() + j0, j0, xr);
+      }
+      if (j1 < n) {
+        detail::gemm_packed_engine(x.block(0, j0, m, j1 - j0),
+                                   u.block(j0, j1, j1 - j0, n - j1),
+                                   x.block(0, j1, m, n - j1),
+                                   /*b_transposed=*/false, /*negate_a=*/true);
+      }
+    }
+  });
 }
 
 void matrix_sub(Span2D<double> a, Span2D<const double> b) {

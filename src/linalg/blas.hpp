@@ -5,6 +5,13 @@
 //
 // All kernels operate on (possibly strided) Span2D views so they compose with
 // the blocked algorithms without copies.
+//
+// "Bit-identical" below means, on every dispatch path and at any thread
+// count: every non-NaN result is bit-identical to the reference loop, and
+// a NaN result stays NaN at the same position, with unspecified payload and
+// sign. (When two NaNs meet in one add, x86 returns the first operand's,
+// and the compiler picks the operand order per function; the panel kernels'
+// packed updates also negate one operand, which flips a NaN's sign.)
 
 #include "common/span2d.hpp"
 
@@ -39,16 +46,23 @@ void gemm_overwrite(Span2D<const double> a, Span2D<const double> b,
 
 /// Solve L * X = B in place of B, with L lower-triangular and unit-diagonal
 /// (dtrsm side=Left, uplo=Lower, diag=Unit). Used by opU: U01 = L00^-1 A01.
+/// Blocked right-looking: each 32-row block of X is solved by forward
+/// substitution, then leaves every later row in one packed-gemm update
+/// (the multiplier block negated as it is packed). Every entry keeps the
+/// forward substitution's subtractions in ascending order, and an exact-zero
+/// L[i,j] is still skipped (a multiplier block holding one takes the scalar
+/// loop), so the result is bit-identical to the plain forward substitution.
 /// Parallelized over disjoint column strips of B (columns are independent
-/// systems); per-column operation order is unchanged, so the result is
-/// bit-identical to the serial solve at any thread count.
+/// systems), bit-identical at any thread count.
 void trsm_left_lower_unit(Span2D<const double> l, Span2D<double> b);
 
 /// Solve X * U = B in place of B, with U upper-triangular (non-unit diagonal)
 /// (dtrsm side=Right, uplo=Upper, diag=NonUnit). Used by opL:
 /// L10 = A10 U00^-1. Right-looking, with the per-entry operation order of
 /// getrf_panel's elimination, so opL blocks are bit-identical to a
-/// monolithic panel factorization.
+/// monolithic panel factorization. Blocked like trsm_left_lower_unit (32
+/// columns of X per scalar solve, the rest one packed update) and
+/// parallelized over disjoint row strips of B.
 void trsm_right_upper(Span2D<const double> u, Span2D<double> b);
 
 /// A -= B elementwise — the paper's opMS task (Θ(b²), kept on the processor).

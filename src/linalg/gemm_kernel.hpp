@@ -35,8 +35,11 @@ void pack_b_micropanel(Span2D<const double> b, bool transposed,
 
 /// Pack a.block(i0.., k0..) into MR-tall micropanels (column-major inside a
 /// strip so the microkernel broadcasts MR contiguous values per step).
+/// `negate` stores -a(i, l) instead: acc + (-a)*b equals acc - a*b bit for
+/// bit on every non-NaN operand, so C -= A * B runs on the same kernels.
 void pack_a_tile(Span2D<const double> a, std::size_t i0, std::size_t mc,
-                 std::size_t k0, std::size_t kc, std::vector<double>& ap);
+                 std::size_t k0, std::size_t kc, bool negate,
+                 std::vector<double>& ap);
 
 /// Run `kern` against the (possibly ragged) mr x nr corner of C at
 /// (i0, j0): load the live entries, accumulate, store them back.
@@ -59,9 +62,28 @@ void gemm_narrow(Span2D<const double> a, Span2D<const double> b,
 /// the (i-tile, k-chunk, j-panel) space — each i-tile task visits k-chunks
 /// in ascending order with per-thread A-pack scratch, so every C entry
 /// accumulates in ascending inner-index order (bit-identical to gemm_naive
-/// at any thread count and on every SIMD dispatch path). Shapes are NOT
-/// validated here; callers check first.
+/// at any thread count and on every SIMD dispatch path). `negate_a` packs
+/// A negated, turning the product into C -= A * B with the same per-entry
+/// order. Shapes are NOT validated here; callers check first.
 void gemm_packed_engine(Span2D<const double> a, Span2D<const double> b,
-                        Span2D<double> c, bool b_transposed);
+                        Span2D<double> c, bool b_transposed,
+                        bool negate_a = false);
+
+/// Column-block width of the blocked panel kernels (getrf_panel,
+/// trsm_left_lower_unit, trsm_right_upper): each block is solved by the
+/// scalar loop, everything after it is one packed update.
+inline constexpr std::size_t kPanelNB = 32;
+
+/// C -= A * B as the panel kernels' scalar loops take it:
+///
+///   for i, for l: if (a(i, l) == 0.0) skip; for j: c(i, j) -= a(i, l) * b(l, j)
+///
+/// The packed engine with A negated when no multiplier is an exact zero;
+/// otherwise that loop itself (skipping a zero multiplier changes signed
+/// zeros and inf/NaN results, so it is a behaviour, not an optimisation).
+/// Non-NaN results are bit-identical to the loop either way. Shapes are NOT
+/// validated here; callers check first.
+void gemm_sub_skip_zeros(Span2D<const double> a, Span2D<const double> b,
+                         Span2D<double> c);
 
 }  // namespace rcs::linalg::detail

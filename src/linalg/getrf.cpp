@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/gemm_kernel.hpp"
 
 namespace rcs::linalg {
 
@@ -13,14 +14,19 @@ void getrf_unblocked(Span2D<double> a) {
   getrf_panel(a);
 }
 
-void getrf_panel(Span2D<double> a) {
+namespace {
+/// Gaussian elimination on the panel `a` (rows >= cols), one column at a
+/// time: scale column k below the pivot, then subtract its multiple of row
+/// k from every later row, skipping an exact-zero multiplier. `k_offset`
+/// places the panel's first column in the whole factorization (for the
+/// zero-pivot message).
+void getrf_panel_columns(Span2D<double> a, std::size_t k_offset) {
   const std::size_t n = a.rows();
   const std::size_t b = a.cols();
-  RCS_CHECK_MSG(n >= b, "getrf_panel: panel must be at least as tall as wide");
   for (std::size_t k = 0; k < b; ++k) {
     const double pivot = a(k, k);
     RCS_CHECK_MSG(pivot != 0.0,
-                  "getrf: zero pivot at step " << k
+                  "getrf: zero pivot at step " << k_offset + k
                       << " (matrix requires pivoting; the paper assumes none)");
     const double inv = 1.0 / pivot;
     for (std::size_t i = k + 1; i < n; ++i) a(i, k) *= inv;
@@ -31,6 +37,32 @@ void getrf_panel(Span2D<double> a) {
       const double* ak = a.row(k);
       for (std::size_t j = k + 1; j < b; ++j) ai[j] -= lik * ak[j];
     }
+  }
+}
+}  // namespace
+
+void getrf_panel(Span2D<double> a) {
+  const std::size_t n = a.rows();
+  const std::size_t b = a.cols();
+  RCS_CHECK_MSG(n >= b, "getrf_panel: panel must be at least as tall as wide");
+  // Blocked right-looking, bit-identical to eliminating one column at a
+  // time over the whole panel: every entry still takes its subtractions
+  // l(i, k) * u(k, j) in ascending k (exact-zero multipliers skipped), and
+  // an L entry its one multiply by 1 / pivot after them. Per column block
+  // K = [k0, k1):
+  //   1. the scalar loop factors the tall panel a[k0:n, K];
+  //   2. U12 = L11^-1 a[K, k1:b]  (unit lower solve, same skips);
+  //   3. a[k1:n, k1:b] -= L21 * U12 in one packed update.
+  for (std::size_t k0 = 0; k0 < b; k0 += detail::kPanelNB) {
+    const std::size_t k1 = std::min(k0 + detail::kPanelNB, b);
+    const std::size_t w = k1 - k0;
+    getrf_panel_columns(a.block(k0, k0, n - k0, w), k0);
+    if (k1 == b) break;
+    const auto l11 = a.block(k0, k0, w, w);
+    const auto u12 = a.block(k0, k1, w, b - k1);
+    trsm_left_lower_unit(l11, u12);
+    detail::gemm_sub_skip_zeros(a.block(k1, k0, n - k1, w), u12,
+                                a.block(k1, k1, n - k1, b - k1));
   }
 }
 

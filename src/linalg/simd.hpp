@@ -12,7 +12,10 @@
 // multiply followed by an IEEE add (no FMA contraction — the repo builds
 // with -ffp-contract=off and the vector paths use separate mul/add
 // instructions). Every implementation therefore produces bits identical to
-// the scalar loop, and to gemm_naive, on any IEEE-754 machine.
+// the scalar loop, and to gemm_naive, on any IEEE-754 machine — for every
+// non-NaN result; a NaN result stays NaN at the same position, with
+// unspecified payload and sign (which NaN wins when two meet in one add
+// follows the operand order each compiled kernel happens to use).
 //
 // The implementation is chosen once at startup from cpuid (best available
 // of AVX-512F > AVX2 > scalar), overridable with the environment variable

@@ -18,10 +18,13 @@
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
+#include "linalg/getrf.hpp"
 #include "linalg/simd.hpp"
 #include "net/minimpi.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
+
+#include "kernel_oracles.hpp"
 
 namespace core = rcs::core;
 namespace common = rcs::common;
@@ -39,10 +42,12 @@ core::SystemParams xd1_p(int p) {
 
 // The kernel-level contract behind every test in this file: gemm (packed
 // and narrow-column), the MatMulArray emulation (all four variants),
-// trsm_left_lower_unit, trsm_right_upper, the min-plus fw_block (disjoint
-// and aliased) and blocked_floyd_warshall
-// produce byte-identical output across every (SIMD path x thread count)
-// combination, with threads=1 + scalar dispatch as the reference.
+// LU's panel kernels (trsm_left_lower_unit, trsm_right_upper, getrf on a
+// square and a tall panel), the min-plus fw_block (disjoint and aliased)
+// and blocked_floyd_warshall produce byte-identical output across every
+// (SIMD path x thread count) combination, with threads=1 + scalar dispatch
+// as the reference; the panel kernels' reference must itself equal their
+// former scalar loops.
 TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   const std::size_t m = 129, k = 257, n = 70;  // ragged, crosses KC/MC/NC
   const la::Matrix a = la::random_matrix(m, k, 11);
@@ -59,6 +64,11 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
     upper(i, i) = 2.0;
     for (std::size_t j = 0; j < i; ++j) upper(i, j) = 0.0;
   }
+  // opLU: getrf on a square b x b block and on a tall panel (ragged
+  // column blocks, rows below the square).
+  const la::Matrix sq = la::diagonally_dominant(m, 21);
+  const la::Matrix tall = la::Matrix::from_view(
+      la::diagonally_dominant(m + 40, 22).block(0, 0, m + 40, n));
   const auto narrow_b = b.block(0, 5, k, 2);
   const la::Matrix e_narrow0 = la::random_matrix(m, 2, 20);
   const rcs::fpga::MatMulArray array(
@@ -78,6 +88,26 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   la::trsm_left_lower_unit(lower.view(), trsm_ref.view());
   la::Matrix opl_ref = rhs;
   la::trsm_right_upper(upper.view(), opl_ref.view());
+  la::Matrix getrf_ref = sq;
+  la::getrf_unblocked(getrf_ref.view());
+  la::Matrix panel_ref = tall;
+  la::getrf_panel(panel_ref.view());
+  {
+    la::Matrix x = rhs;
+    rcs::oracle::trsm_left_lower_unit(lower.view(), x.view());
+    EXPECT_TRUE(la::bit_equal(x.view(), trsm_ref.view())) << "trsm oracle";
+    la::Matrix opl = rhs;
+    rcs::oracle::trsm_right_upper(upper.view(), opl.view());
+    EXPECT_TRUE(la::bit_equal(opl.view(), opl_ref.view()))
+        << "trsm_right_upper oracle";
+    la::Matrix f = sq;
+    rcs::oracle::getrf_panel(f.view());
+    EXPECT_TRUE(la::bit_equal(f.view(), getrf_ref.view())) << "getrf oracle";
+    la::Matrix p = tall;
+    rcs::oracle::getrf_panel(p.view());
+    EXPECT_TRUE(la::bit_equal(p.view(), panel_ref.view()))
+        << "getrf_panel oracle";
+  }
   la::Matrix narrow_ref = e_narrow0;
   la::gemm(a.view(), narrow_b, narrow_ref.view());
   // fw_block on a ragged op3 task and an in-place op1 task;
@@ -102,7 +132,7 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
        ++lv) {
     const simd::Level level = static_cast<simd::Level>(lv);
     simd::set_level(level);
-    for (int threads : {1, 2, 7}) {
+    for (int threads : {1, 2, 4, 7}) {
       common::ThreadPool::set_global_threads(threads);
       const std::string tag = std::string("simd=") + simd::level_name(level) +
                               " threads=" + std::to_string(threads);
@@ -123,6 +153,14 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
       la::trsm_right_upper(upper.view(), opl.view());
       EXPECT_TRUE(la::bit_equal(opl.view(), opl_ref.view()))
           << "trsm_right_upper " << tag;
+      la::Matrix f = sq;
+      la::getrf_unblocked(f.view());
+      EXPECT_TRUE(la::bit_equal(f.view(), getrf_ref.view()))
+          << "getrf_unblocked " << tag;
+      la::Matrix panel = tall;
+      la::getrf_panel(panel.view());
+      EXPECT_TRUE(la::bit_equal(panel.view(), panel_ref.view()))
+          << "getrf_panel " << tag;
       la::Matrix narrow = e_narrow0;
       la::gemm(a.view(), narrow_b, narrow.view());
       EXPECT_TRUE(la::bit_equal(narrow.view(), narrow_ref.view()))
@@ -192,6 +230,34 @@ TEST(Determinism, LuFunctionalInvariantAcrossThreadCounts) {
     EXPECT_TRUE(la::bit_equal(res.factored.view(), ref.factored.view()))
         << "threads=" << threads;
   }
+  common::ThreadPool::set_global_threads(1);
+}
+
+// lu_functional's factors at b = 64 (opLU, opL and opU each span two
+// column blocks of the panel kernels) equal the all-scalar blocked LU built
+// from the retained oracles, on every SIMD path at 1, 2 and 4 threads.
+TEST(Determinism, LuFunctionalMatchesScalarOraclesAcrossSimdAndThreads) {
+  const la::Matrix a = la::diagonally_dominant(192, 4242);
+  core::LuConfig cfg;
+  cfg.n = 192;
+  cfg.b = 64;
+  cfg.mode = core::DesignMode::Hybrid;
+  la::Matrix want = a;
+  rcs::oracle::getrf_blocked(want.view(), 64);
+  namespace simd = rcs::linalg::simd;
+  const simd::Level saved = simd::active_level();
+  for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
+       ++lv) {
+    const simd::Level level = static_cast<simd::Level>(lv);
+    simd::set_level(level);
+    for (int threads : {1, 2, 4}) {
+      common::ThreadPool::set_global_threads(threads);
+      const auto res = core::lu_functional(xd1_p(3), cfg, a);
+      EXPECT_TRUE(la::bit_equal(res.factored.view(), want.view()))
+          << "simd=" << simd::level_name(level) << " threads=" << threads;
+    }
+  }
+  simd::set_level(saved);
   common::ThreadPool::set_global_threads(1);
 }
 

@@ -13,11 +13,15 @@
 
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/gemm_kernel.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/simd.hpp"
+#include "kernel_oracles.hpp"
 
 namespace la = rcs::linalg;
+namespace oracle = rcs::oracle;
 
 namespace {
 
@@ -189,11 +193,12 @@ void trsm_right_upper_dot(rcs::Span2D<const double> u, rcs::Span2D<double> b) {
   }
 }
 
-// Right-looking vs the dot-product oracle, bitwise: ragged triangle orders
+// Blocked right-looking vs the dot-product oracle: ragged triangle orders
 // and right-hand-side counts, U and B as strided blocks of wider matrices,
 // B salted with +0 and -0 (a -0 entry whose subtractions are all +0 must
-// stay -0) and, in every third row, NaNs of both signs (NaN payloads must
-// come out the same; a NaN poisons the rest of its row, so the other rows
+// stay -0) and, in every third row, NaNs of both signs (a NaN must stay NaN
+// at the same position; its sign and payload are free, since the packed
+// update negates it. A NaN poisons the rest of its row, so the other rows
 // stay finite and show any change of operation order in their rounding).
 TEST(Trsm, RightUpperBitIdenticalToDotProductLoop) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -217,10 +222,256 @@ TEST(Trsm, RightUpperBitIdenticalToDotProductLoop) {
       trsm_right_upper_dot(u, ref.block(1, 2, m, n));
       la::Matrix got = wb;
       la::trsm_right_upper(u, got.block(1, 2, m, n));
-      EXPECT_TRUE(la::bit_equal(got.view(), ref.view()))
+      EXPECT_TRUE(oracle::equal_up_to_nan_payload(got.view(), ref.view()))
           << "n=" << n << " m=" << m;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The blocked panel kernels against their former scalar loops (kept in
+// kernel_oracles.hpp). Sizes straddle the column-block width (one block,
+// one block plus one column, two blocks plus a ragged tail) up to LU's
+// block sizes; every operand is a strided block of a wider matrix.
+
+constexpr std::size_t kNB = la::detail::kPanelNB;
+const std::size_t kPanelSizes[] = {1,       kNB - 1, kNB, kNB + 1,
+                                   2 * kNB + 3, 192, 256};
+const double kInf = std::numeric_limits<double>::infinity();
+
+/// What a test salts into the operands. Exact zeros in the multipliers take
+/// the update's scalar path (its skip is a behaviour); -0.0 must keep its
+/// sign through +0 subtractions; +-inf meeting a skipped zero multiplier
+/// must not become NaN, and the NaNs it does produce elsewhere only need
+/// to match in position.
+enum class Salt { None, Zeros, ZerosAndInf };
+
+const char* salt_name(Salt salt) {
+  switch (salt) {
+    case Salt::None: return "none";
+    case Salt::Zeros: return "zeros";
+    case Salt::ZerosAndInf: return "zeros+inf";
+  }
+  return "?";
+}
+
+::testing::AssertionResult matches_oracle(const la::Matrix& got,
+                                          const la::Matrix& want, Salt salt) {
+  const bool ok = salt == Salt::ZerosAndInf
+                      ? oracle::equal_up_to_nan_payload(got.view(), want.view())
+                      : la::bit_equal(got.view(), want.view());
+  if (ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "max-diff=" << la::max_abs_diff(got.view(), want.view());
+}
+
+/// Salt B's interior (rows r0.., cols c0..) with -0.0 and, for ZerosAndInf,
+/// +-inf in a sparse diagonal pattern.
+void salt_rhs(la::Matrix& w, std::size_t r0, std::size_t c0, std::size_t rows,
+              std::size_t cols, Salt salt) {
+  if (salt == Salt::None) return;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = (r * 3) % 7; c < cols; c += 7) {
+      w(r0 + r, c0 + c) = -0.0;
+    }
+    if (salt == Salt::ZerosAndInf && r % 5 == 1) {
+      w(r0 + r, c0 + (r * 11) % cols) = r % 2 == 0 ? kInf : -kInf;
+    }
+  }
+}
+
+TEST(PanelKernels, GetrfPanelMatchesScalarLoop) {
+  for (Salt salt : {Salt::None, Salt::Zeros, Salt::ZerosAndInf}) {
+    for (std::size_t b : kPanelSizes) {
+      for (std::size_t n : {b, b + 37}) {  // square and tall
+        // Rows of a diagonally dominant matrix: the top b x b square is
+        // dominant, the rows below are random multiples.
+        la::Matrix w(n + 3, b + 5, 7.0);
+        const la::Matrix dd = la::diagonally_dominant(n, 61 + n + b);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < b; ++j) w(2 + i, 1 + j) = dd(i, j);
+        }
+        if (salt != Salt::None) {
+          // A row whose first z entries are zero keeps exact zeros in its
+          // first z multipliers (every update to them is skipped).
+          for (std::size_t i = 1; i < n; i += 3) {
+            const std::size_t z = std::min({i, b, (i * 7) % (b + 1)});
+            for (std::size_t j = 0; j < z; ++j) w(2 + i, 1 + j) = 0.0;
+          }
+        }
+        if (salt == Salt::ZerosAndInf) {
+          // inf in U rows whose multipliers below are partly zero.
+          for (std::size_t k = 0; k + 1 < b; k += 9) {
+            w(2 + k, 1 + b - 1 - k / 2) = k % 2 == 0 ? kInf : -kInf;
+          }
+        }
+        la::Matrix want = w;
+        oracle::getrf_panel(want.block(2, 1, n, b));
+        la::Matrix got = w;
+        la::getrf_panel(got.block(2, 1, n, b));
+        EXPECT_TRUE(matches_oracle(got, want, salt))
+            << "n=" << n << " b=" << b << " salt=" << salt_name(salt);
+      }
+    }
+  }
+}
+
+TEST(PanelKernels, TrsmLeftLowerUnitMatchesScalarLoop) {
+  for (Salt salt : {Salt::None, Salt::Zeros, Salt::ZerosAndInf}) {
+    for (std::size_t n : kPanelSizes) {
+      for (std::size_t m : {1, 3, 7, 8, 37}) {
+        la::Matrix wl = la::random_matrix(n + 4, n + 2, 71 + n, -0.5, 0.5);
+        const auto l = wl.block(3, 1, n, n);
+        if (salt != Salt::None) {
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = i % 4; j < i; j += 4) l(i, j) = 0.0;
+          }
+        }
+        la::Matrix wb = la::random_matrix(n + 2, m + 6, 73 + m);
+        salt_rhs(wb, 1, 4, n, m, salt);
+        la::Matrix want = wb;
+        oracle::trsm_left_lower_unit(l, want.block(1, 4, n, m));
+        la::Matrix got = wb;
+        la::trsm_left_lower_unit(l, got.block(1, 4, n, m));
+        EXPECT_TRUE(matches_oracle(got, want, salt))
+            << "n=" << n << " m=" << m << " salt=" << salt_name(salt);
+      }
+    }
+  }
+}
+
+TEST(PanelKernels, TrsmRightUpperMatchesScalarLoop) {
+  for (Salt salt : {Salt::None, Salt::Zeros, Salt::ZerosAndInf}) {
+    for (std::size_t n : kPanelSizes) {
+      for (std::size_t m : {1, 3, 7, 8, 37}) {
+        la::Matrix wu = la::random_matrix(n + 3, n + 5, 79 + n, -0.1, 0.1);
+        const auto u = wu.block(2, 3, n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          u(i, i) = (i % 2 == 0 ? 2.0 : -3.0) + 0.01 * static_cast<double>(i);
+          if (salt != Salt::None) {
+            for (std::size_t j = i + 1 + i % 3; j < n; j += 5) u(i, j) = 0.0;
+          }
+        }
+        la::Matrix wb = la::random_matrix(m + 2, n + 4, 83 + m);
+        salt_rhs(wb, 1, 2, m, n, salt);
+        la::Matrix want = wb;
+        oracle::trsm_right_upper(u, want.block(1, 2, m, n));
+        la::Matrix got = wb;
+        la::trsm_right_upper(u, got.block(1, 2, m, n));
+        EXPECT_TRUE(matches_oracle(got, want, salt))
+            << "n=" << n << " m=" << m << " salt=" << salt_name(salt);
+      }
+    }
+  }
+}
+
+// getrf_blocked composes getrf_panel, trsm_left_lower_unit and gemm; with
+// the blocked kernels inside it must still equal the all-scalar reference.
+TEST(PanelKernels, GetrfBlockedMatchesScalarReference) {
+  for (auto [n, b] : {std::pair<std::size_t, std::size_t>{256, 64},
+                      {200, 96},
+                      {131, 33}}) {
+    const la::Matrix a = la::diagonally_dominant(n, 89 + n);
+    la::Matrix want = a;
+    oracle::getrf_blocked(want.view(), b);
+    la::Matrix got = a;
+    la::getrf_blocked(got.view(), b);
+    EXPECT_TRUE(la::bit_equal(got.view(), want.view()))
+        << "n=" << n << " b=" << b;
+  }
+}
+
+// The narrowed contract, on every kernel that runs the packed or narrow
+// SIMD paths: NaNs of both signs salted into the operands of gemm (packed
+// and narrow), both triangular solves and getrf come out as NaN at the
+// same positions as the references, and every other entry bit-identical.
+// Checked at every SIMD level the CPU supports.
+TEST(NanContract, KernelsKeepNanPositionsAndOtherBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto salt_nans = [&](la::Matrix& w, std::size_t every) {
+    std::size_t t = 0;
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      for (std::size_t c = r % every; c < w.cols(); c += every, ++t) {
+        if (r % 4 == 1) w(r, c) = t % 2 == 0 ? nan : -nan;
+      }
+    }
+  };
+  namespace simd = rcs::linalg::simd;
+  const simd::Level saved = simd::active_level();
+  const std::size_t n = 97;
+  la::Matrix a = la::random_matrix(n, n, 91);
+  la::Matrix b = la::random_matrix(n, n, 92);
+  salt_nans(a, 41);
+  salt_nans(b, 37);
+  const la::Matrix c0 = la::random_matrix(n, n, 93);
+  la::Matrix gemm_want = c0;
+  la::gemm_naive(a.view(), b.view(), gemm_want.view());
+  la::Matrix narrow_want = la::Matrix::from_view(c0.block(0, 0, n, 3));
+  la::gemm_naive(a.view(), b.block(0, 0, n, 3), narrow_want.view());
+
+  la::Matrix lower = la::random_matrix(n, n, 94, -0.5, 0.5);
+  la::Matrix upper = la::random_matrix(n, n, 95, -0.1, 0.1);
+  for (std::size_t i = 0; i < n; ++i) upper(i, i) = 2.0;
+  la::Matrix rhs = la::random_matrix(n, 40, 96);
+  salt_nans(rhs, 53);
+  la::Matrix rhs_t = la::random_matrix(40, n, 97);
+  salt_nans(rhs_t, 53);
+  la::Matrix left_want = rhs;
+  oracle::trsm_left_lower_unit(lower.view(), left_want.view());
+  la::Matrix right_want = rhs_t;
+  oracle::trsm_right_upper(upper.view(), right_want.view());
+
+  la::Matrix lu0 = la::diagonally_dominant(n, 98);
+  lu0(70, 75) = nan;  // late enough to leave most of the factors finite
+  lu0(80, 66) = -nan;
+  la::Matrix lu_want = lu0;
+  oracle::getrf_panel(lu_want.view());
+
+  for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
+       ++lv) {
+    const simd::Level level = static_cast<simd::Level>(lv);
+    simd::set_level(level);
+    const std::string tag = std::string(" simd=") + simd::level_name(level);
+    la::Matrix c = c0;
+    la::gemm(a.view(), b.view(), c.view());
+    EXPECT_TRUE(oracle::equal_up_to_nan_payload(c.view(), gemm_want.view()))
+        << "gemm" << tag;
+    la::Matrix narrow = la::Matrix::from_view(c0.block(0, 0, n, 3));
+    la::gemm(a.view(), b.block(0, 0, n, 3), narrow.view());
+    EXPECT_TRUE(
+        oracle::equal_up_to_nan_payload(narrow.view(), narrow_want.view()))
+        << "gemm narrow" << tag;
+    la::Matrix left = rhs;
+    la::trsm_left_lower_unit(lower.view(), left.view());
+    EXPECT_TRUE(oracle::equal_up_to_nan_payload(left.view(), left_want.view()))
+        << "trsm_left_lower_unit" << tag;
+    la::Matrix right = rhs_t;
+    la::trsm_right_upper(upper.view(), right.view());
+    EXPECT_TRUE(
+        oracle::equal_up_to_nan_payload(right.view(), right_want.view()))
+        << "trsm_right_upper" << tag;
+    la::Matrix lu = lu0;
+    la::getrf_unblocked(lu.view());
+    EXPECT_TRUE(oracle::equal_up_to_nan_payload(lu.view(), lu_want.view()))
+        << "getrf" << tag;
+  }
+  simd::set_level(saved);
+}
+
+TEST(NanContract, HelperComparesNanPositionsAndOtherBits) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  la::Matrix x(1, 3), y(1, 3);
+  x(0, 0) = nan;
+  y(0, 0) = -nan;
+  x(0, 1) = y(0, 1) = 1.5;
+  x(0, 2) = y(0, 2) = -0.0;
+  EXPECT_TRUE(oracle::equal_up_to_nan_payload(x.view(), y.view()));
+  EXPECT_FALSE(la::bit_equal(x.view(), y.view()));
+  y(0, 2) = 0.0;  // signed zeros differ
+  EXPECT_FALSE(oracle::equal_up_to_nan_payload(x.view(), y.view()));
+  y(0, 2) = -0.0;
+  y(0, 0) = 0.0;  // NaN against a number
+  EXPECT_FALSE(oracle::equal_up_to_nan_payload(x.view(), y.view()));
 }
 
 TEST(Trsm, SingularUpperThrows) {
