@@ -13,13 +13,11 @@
 #include "fpga/pe_cycle_sim.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
-#include "graph/transitive_closure.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
 #include "linalg/simd.hpp"
-#include "linalg/sparse.hpp"
 
 using namespace rcs;
 
@@ -306,31 +304,6 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNT)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureBlocked(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  const linalg::Matrix d = graph::random_digraph(n, 9, 0.02);
-  const graph::BitMatrix seed = graph::adjacency_from_distances(d);
-  for (auto _ : state) {
-    graph::BitMatrix reach = seed;
-    graph::blocked_transitive_closure(reach, 64);
-    benchmark::DoNotOptimize(reach.count());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n / 64);
-}
-BENCHMARK(BM_TransitiveClosureBlocked)->Arg(256)->Arg(512);
-
-void BM_SpmvLaplacian(benchmark::State& state) {
-  const std::size_t g = state.range(0);
-  const auto lap = linalg::CsrMatrix::laplacian_2d(g, g);
-  std::vector<double> x(lap.cols(), 1.0), y(lap.rows());
-  for (auto _ : state) {
-    lap.spmv(x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * lap.nnz());
-}
-BENCHMARK(BM_SpmvLaplacian)->Arg(64)->Arg(256);
 
 void BM_SoftFpDiv(benchmark::State& state) {
   Rng rng(17);

@@ -646,6 +646,10 @@ int main(int argc, char** argv) {
       rows.push_back(bench_gemm("gemm_packed", n, t, la::gemm));
     }
   }
+  // The committed baseline has no size-96 rows: one smoke row at a
+  // (kernel, size, threads) key it does have gives perf_gate a row to
+  // compare.
+  if (smoke) rows.push_back(bench_gemm("gemm_packed", 256, 1, la::gemm));
 
   // --- Streamed FPGA-emulation kernel, same sweep.
   for (long long n : gemm_sizes) {

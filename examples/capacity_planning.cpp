@@ -17,7 +17,9 @@
 
 using namespace rcs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Capacity planning with the design model (Section 4.5)");
   cli.add_int("lu_n", 30000, "LU matrix dimension");
   cli.add_int("lu_b", 3000, "LU block size");
@@ -104,4 +106,10 @@ int main(int argc, char** argv) {
                "scaling nodes keeps efficiency high until the serial panel\n"
                "path (opLU/opL/opU on one node) dominates — Amdahl at work.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main("capacity_planning", run, argc, argv);
 }

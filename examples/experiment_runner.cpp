@@ -17,7 +17,6 @@
 
 #include <iostream>
 #include <string>
-#include <string_view>
 
 #include "common/cli.hpp"
 #include "common/table.hpp"
@@ -193,17 +192,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const rcs::Error& e) {
-    // The user-facing reason follows the source location and the failed
-    // expression, after the separator RCS_CHECK_MSG puts in front of it.
-    constexpr std::string_view kSep = " — ";
-    const std::string what = e.what();
-    const std::size_t at = what.find(kSep);
-    std::cerr << "experiment_runner: "
-              << (at == std::string::npos ? what : what.substr(at + kSep.size()))
-              << '\n';
-    return 2;
-  }
+  return run_main("experiment_runner", run, argc, argv);
 }

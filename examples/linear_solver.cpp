@@ -32,9 +32,7 @@ void solve_upper(const linalg::Matrix& u, linalg::Matrix& x) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Cli cli("Dense linear solver over the hybrid LU design");
   cli.add_int("n", 512, "matrix dimension");
   cli.add_int("b", 128, "block size (must divide n)");
@@ -86,4 +84,10 @@ int main(int argc, char** argv) {
                "simulated time differs — the hybrid wins by using both the\n"
                "processor and the FPGA for the trailing-update multiplies.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main("linear_solver", run, argc, argv);
 }

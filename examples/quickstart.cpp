@@ -14,7 +14,9 @@
 
 using namespace rcs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Quickstart for the rcs-codesign library");
   cli.add_int("n", 512, "matrix dimension (b must divide n)");
   cli.add_int("b", 128, "block size");
@@ -74,4 +76,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nDone. Try bench/fig9_summary for the paper-scale numbers.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main("quickstart", run, argc, argv);
 }

@@ -16,7 +16,9 @@
 
 using namespace rcs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("All-pairs shortest paths over the hybrid Floyd-Warshall design");
   cli.add_int("rows", 8, "grid rows");
   cli.add_int("cols", 8, "grid columns");
@@ -88,4 +90,10 @@ int main(int argc, char** argv) {
                "FPGA-only baseline is close to the hybrid and the\n"
                "processor-only baseline is far behind — Fig. 9's shape.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main("shortest_paths", run, argc, argv);
 }

@@ -16,7 +16,9 @@
 
 using namespace rcs;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   Cli cli("Execution-trace export for the hybrid Floyd-Warshall design");
   cli.add_int("n", 96, "vertices (b*p must divide n)");
   cli.add_int("b", 8, "block size");
@@ -62,4 +64,10 @@ int main(int argc, char** argv) {
   core::fw_functional(sys, cfg, d0, false, nullptr, &log);
   std::cout << "\nMessages sent during the run: " << log.size() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main("trace_gantt", run, argc, argv);
 }

@@ -1,7 +1,10 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -80,8 +83,9 @@ const Cli::Flag& Cli::find(const std::string& name, Kind kind) const {
 std::int64_t Cli::get_int(const std::string& name) const {
   const Flag& f = find(name, Kind::Int);
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(f.value.c_str(), &end, 10);
-  RCS_CHECK_MSG(end != nullptr && *end == '\0',
+  RCS_CHECK_MSG(!f.value.empty() && *end == '\0' && errno != ERANGE,
                 "flag --" << name << ": bad integer '" << f.value << "'");
   return v;
 }
@@ -89,8 +93,9 @@ std::int64_t Cli::get_int(const std::string& name) const {
 double Cli::get_double(const std::string& name) const {
   const Flag& f = find(name, Kind::Double);
   char* end = nullptr;
+  errno = 0;
   const double v = std::strtod(f.value.c_str(), &end);
-  RCS_CHECK_MSG(end != nullptr && *end == '\0',
+  RCS_CHECK_MSG(!f.value.empty() && *end == '\0' && errno != ERANGE,
                 "flag --" << name << ": bad number '" << f.value << "'");
   return v;
 }
@@ -113,6 +118,23 @@ void Cli::print_help() const {
   for (const auto& [name, f] : flags_) {
     std::printf("  --%-20s %s (default: %s)\n", name.c_str(), f.help.c_str(),
                 f.def.c_str());
+  }
+}
+
+int run_main(const char* program, int (*body)(int, char**), int argc,
+             char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const Error& e) {
+    // The user-facing reason follows the source location and the failed
+    // expression, after the separator RCS_CHECK_MSG puts in front of it.
+    constexpr std::string_view kSep = " — ";
+    const std::string what = e.what();
+    const std::size_t at = what.find(kSep);
+    std::cerr << program << ": "
+              << (at == std::string::npos ? what : what.substr(at + kSep.size()))
+              << '\n';
+    return 2;
   }
 }
 

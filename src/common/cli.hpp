@@ -27,6 +27,8 @@ class Cli {
   /// Throws rcs::Error on unknown flags or malformed values.
   bool parse(int argc, const char* const* argv);
 
+  /// Typed getters. get_int and get_double throw rcs::Error on a value that
+  /// is empty, has trailing characters, or overflows or underflows its type.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
@@ -47,5 +49,12 @@ class Cli {
   std::string description_;
   std::map<std::string, Flag> flags_;
 };
+
+/// Run a program's whole main as `body(argc, argv)`. An rcs::Error it throws
+/// (an unknown flag, a malformed value, a configuration the library rejects)
+/// prints "<program>: <reason>" to stderr and returns exit status 2, instead
+/// of dying in std::terminate.
+int run_main(const char* program, int (*body)(int, char**), int argc,
+             char** argv);
 
 }  // namespace rcs

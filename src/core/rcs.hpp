@@ -9,7 +9,9 @@
 //   core/fw_analytic.hpp   — paper-scale Floyd–Warshall schedule simulator
 //   core/lu_functional.hpp — real-data distributed LU over MiniMPI
 //   core/fw_functional.hpp — real-data distributed FW over MiniMPI
-//   plus the substrates: linalg/, graph/, fpga/, node/, net/, sim/,
+//   core/mm.hpp, core/cholesky.hpp — the two extension applications
+//   plus the substrates the designs run on: linalg/ (gemm, trsm, getrf,
+//   potrf), graph/ (Floyd–Warshall), fpga/, node/, net/ (MiniMPI), sim/,
 //   fparith/ and common/.
 
 #include "core/cholesky.hpp"
@@ -30,15 +32,11 @@
 #include "fpga/resources.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
-#include "graph/transitive_closure.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
-#include "linalg/io.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
-#include "linalg/sparse.hpp"
 #include "net/contention.hpp"
 #include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"

@@ -456,14 +456,4 @@ void matrix_sub(Span2D<double> a, Span2D<const double> b) {
   }
 }
 
-void matrix_add(Span2D<double> a, Span2D<const double> b) {
-  RCS_CHECK_MSG(a.rows() == b.rows() && a.cols() == b.cols(),
-                "matrix_add shape mismatch");
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double* ar = a.row(r);
-    const double* br = b.row(r);
-    for (std::size_t c = 0; c < a.cols(); ++c) ar[c] += br[c];
-  }
-}
-
 }  // namespace rcs::linalg

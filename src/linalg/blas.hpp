@@ -68,9 +68,6 @@ void trsm_right_upper(Span2D<const double> u, Span2D<double> b);
 /// A -= B elementwise — the paper's opMS task (Θ(b²), kept on the processor).
 void matrix_sub(Span2D<double> a, Span2D<const double> b);
 
-/// A += B elementwise.
-void matrix_add(Span2D<double> a, Span2D<const double> b);
-
 /// Number of floating-point operations counted for an m x k by k x n gemm
 /// (one multiply + one add per inner step, matching the paper's accounting).
 inline long long gemm_flops(long long m, long long k, long long n) {

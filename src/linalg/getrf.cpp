@@ -86,51 +86,6 @@ void getrf_blocked(Span2D<double> a, std::size_t b) {
   }
 }
 
-void getrf_pivoted(Span2D<double> a, std::vector<std::size_t>& piv) {
-  RCS_CHECK_MSG(a.rows() == a.cols(), "getrf_pivoted: square matrix required");
-  const std::size_t n = a.rows();
-  piv.assign(n, 0);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: largest magnitude in column k at or below the
-    // diagonal.
-    std::size_t pr = k;
-    double best = std::fabs(a(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::fabs(a(i, k));
-      if (v > best) {
-        best = v;
-        pr = i;
-      }
-    }
-    RCS_CHECK_MSG(best != 0.0,
-                  "getrf_pivoted: matrix is singular at step " << k);
-    piv[k] = pr;
-    if (pr != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(a(k, j), a(pr, j));
-    }
-    const double inv = 1.0 / a(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) a(i, k) *= inv;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = a(i, k);
-      if (lik == 0.0) continue;
-      double* ai = a.row(i);
-      const double* ak = a.row(k);
-      for (std::size_t j = k + 1; j < n; ++j) ai[j] -= lik * ak[j];
-    }
-  }
-}
-
-void apply_pivots(Span2D<double> b, const std::vector<std::size_t>& piv) {
-  RCS_CHECK_MSG(piv.size() <= b.rows(), "apply_pivots: pivot list too long");
-  for (std::size_t k = 0; k < piv.size(); ++k) {
-    const std::size_t pr = piv[k];
-    RCS_CHECK_MSG(pr < b.rows(), "apply_pivots: pivot out of range");
-    if (pr != k) {
-      for (std::size_t c = 0; c < b.cols(); ++c) std::swap(b(k, c), b(pr, c));
-    }
-  }
-}
-
 void split_lu(Span2D<const double> factored, Matrix& l, Matrix& u) {
   const std::size_t n = factored.rows();
   RCS_CHECK_MSG(factored.cols() == n, "split_lu: square matrix required");

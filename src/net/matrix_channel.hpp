@@ -173,19 +173,4 @@ inline MatrixMsg wait_matrix_view_deadline(Request& req,
   return MatrixMsg(std::move(msg.payload));
 }
 
-/// Broadcast a matrix from `root`, packed once; every rank returns the
-/// matrix.
-inline linalg::Matrix bcast_matrix(Comm& comm, int root, int tag,
-                                   linalg::Matrix m) {
-  if (comm.rank() == root) {
-    const Payload packed = pack_matrix(m.view());
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r == root) continue;
-      comm.send_payload(r, tag, packed);
-    }
-    return m;
-  }
-  return recv_matrix(comm, root, tag);
-}
-
 }  // namespace rcs::net

@@ -21,8 +21,6 @@ struct NetMetrics {
   obs::Counter& copied;
   obs::Counter& bcasts;
   obs::Counter& barriers;
-  obs::Counter& allgathers;
-  obs::Counter& reduces;
 
   static NetMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -30,9 +28,7 @@ struct NetMetrics {
                         reg.counter("net.bytes_sent"),
                         reg.counter("net.bytes_copied"),
                         reg.counter("net.collectives.bcast"),
-                        reg.counter("net.collectives.barrier"),
-                        reg.counter("net.collectives.allgather"),
-                        reg.counter("net.collectives.reduce")};
+                        reg.counter("net.collectives.barrier")};
     return m;
   }
 };
@@ -231,46 +227,6 @@ Payload Comm::bcast_tree(int root, int tag, Payload payload) {
   return payload;
 }
 
-std::vector<double> Comm::allgather_doubles(int tag,
-                                            const std::vector<double>& mine) {
-  const int p = size();
-  if (obs::metrics_enabled() && rank_ == 0) {
-    NetMetrics::get().allgathers.add(1);
-  }
-  CollScope coll(*this, "allgather");
-  std::vector<double> all;
-  if (rank_ == 0) {
-    // Count header then payload from each rank, in rank order.
-    std::vector<std::vector<double>> parts(static_cast<std::size_t>(p));
-    parts[0] = mine;
-    for (int r = 1; r < p; ++r) {
-      parts[static_cast<std::size_t>(r)] = recv(r, tag).as_doubles();
-    }
-    for (const auto& part : parts)
-      all.insert(all.end(), part.begin(), part.end());
-  } else {
-    send_doubles(0, tag, mine.data(), mine.size());
-  }
-  return bcast_doubles(0, tag ^ 0x5a5a, std::move(all));
-}
-
-double Comm::reduce_sum(int root, int tag, double value) {
-  const int p = size();
-  RCS_CHECK_MSG(root >= 0 && root < p, "reduce bad root " << root);
-  if (obs::metrics_enabled() && rank_ == root) NetMetrics::get().reduces.add(1);
-  CollScope coll(*this, "reduce");
-  if (rank_ != root) {
-    send_doubles(root, tag, &value, 1);
-    return 0.0;
-  }
-  double sum = value;
-  for (int r = 0; r < p; ++r) {
-    if (r == root) continue;
-    sum += recv(r, tag).as<double>();
-  }
-  return sum;
-}
-
 void Comm::finish_recv(const Message& msg, const char* overlap_phase) {
   const SimTime before = clock_.now();
   if (overlap_phase != nullptr) {
@@ -455,23 +411,6 @@ Payload Comm::bcast(int root, int tag, Payload payload) {
   return recv(root, tag).payload;
 }
 
-std::vector<double> Comm::bcast_doubles(int root, int tag,
-                                        std::vector<double> values) {
-  Payload bytes;
-  if (rank_ == root) {
-    bytes = Payload::copy_of(values.data(), values.size() * sizeof(double));
-  }
-  bytes = bcast(root, tag, std::move(bytes));
-  if (rank_ != root) {
-    values.resize(bytes.size() / sizeof(double));
-    if (!values.empty()) {
-      std::memcpy(values.data(), bytes.data(), bytes.size());
-      note_bytes_copied(bytes.size());
-    }
-  }
-  return values;
-}
-
 void Comm::barrier() {
   // Gather-to-0, then root releases everyone. Tags in a reserved range.
   constexpr int kGatherTag = -1001;
@@ -495,43 +434,6 @@ void Comm::barrier() {
     send_any_tag(0, kGatherTag, Payload::copy_of(&token, 1));
     (void)recv_any_tag(0, kReleaseTag, nullptr);
   }
-}
-
-std::vector<double> Comm::gather_double(int root, int tag, double value) {
-  const int p = size();
-  RCS_CHECK_MSG(root >= 0 && root < p, "gather bad root " << root);
-  CollScope coll(*this, "gather");
-  if (rank_ != root) {
-    send_doubles(root, tag, &value, 1);
-    return {};
-  }
-  std::vector<double> out(static_cast<std::size_t>(p), 0.0);
-  out[static_cast<std::size_t>(rank_)] = value;
-  for (int r = 0; r < p; ++r) {
-    if (r == root) continue;
-    Message m = recv(r, tag);
-    out[static_cast<std::size_t>(r)] = m.as<double>();
-  }
-  return out;
-}
-
-double Comm::allreduce_max(double value) {
-  constexpr int kUpTag = -1003;
-  constexpr int kDownTag = -1004;
-  const int p = size();
-  if (p == 1) return value;
-  CollScope coll(*this, "allreduce");
-  if (rank_ == 0) {
-    double best = value;
-    for (int r = 1; r < p; ++r) {
-      best = std::max(best, recv_any_tag(r, kUpTag, nullptr).as<double>());
-    }
-    const Payload down = Payload::copy_of(&best, sizeof(best));
-    for (int r = 1; r < p; ++r) send_any_tag(r, kDownTag, down);
-    return best;
-  }
-  send_any_tag(0, kUpTag, Payload::copy_of(&value, sizeof(value)));
-  return recv_any_tag(0, kDownTag, nullptr).as<double>();
 }
 
 World::World(int size, NetworkParams net) : size_(size), net_(net) {

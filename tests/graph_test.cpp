@@ -12,7 +12,6 @@
 #include "common/rng.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
-#include "graph/transitive_closure.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
 
@@ -367,83 +366,6 @@ TEST(Generators, RandomDigraphEdgeProbabilityRoughlyHolds) {
 TEST(FlopCounts, Formulas) {
   EXPECT_EQ(gr::fw_block_flops(4), 128);
   EXPECT_EQ(gr::fw_total_flops(10), 2000);
-}
-
-// ---------------------------------------------------------------------------
-// Transitive closure (reference [11] extension)
-
-TEST(BitMatrix, GetSetCount) {
-  gr::BitMatrix m(130);  // crosses word boundaries
-  EXPECT_FALSE(m.get(0, 0));
-  m.set(0, 0);
-  m.set(129, 129);
-  m.set(5, 64);
-  m.set(5, 64, false);
-  EXPECT_TRUE(m.get(0, 0));
-  EXPECT_TRUE(m.get(129, 129));
-  EXPECT_FALSE(m.get(5, 64));
-  EXPECT_EQ(m.count(), 2u);
-}
-
-TEST(TransitiveClosure, ChainBecomesFullyReachable) {
-  gr::BitMatrix m(5);
-  for (std::size_t i = 0; i < 5; ++i) m.set(i, i);
-  for (std::size_t i = 0; i + 1 < 5; ++i) m.set(i, i + 1);
-  gr::transitive_closure(m);
-  for (std::size_t i = 0; i < 5; ++i)
-    for (std::size_t j = 0; j < 5; ++j)
-      EXPECT_EQ(m.get(i, j), j >= i) << i << "," << j;
-}
-
-TEST(TransitiveClosure, MatchesFloydWarshallReachability) {
-  const Matrix d = gr::random_digraph(96, 91, 0.04);
-  Matrix dist = d;
-  gr::floyd_warshall(dist);
-  gr::BitMatrix reach = gr::adjacency_from_distances(d);
-  gr::transitive_closure(reach);
-  for (std::size_t i = 0; i < 96; ++i)
-    for (std::size_t j = 0; j < 96; ++j)
-      EXPECT_EQ(reach.get(i, j), i == j || dist(i, j) != gr::kNoEdge)
-          << i << "," << j;
-}
-
-class BlockedTc : public ::testing::TestWithParam<std::tuple<int, int, int>> {
-};
-
-TEST_P(BlockedTc, IdenticalToUnblocked) {
-  const auto [n, b, seed] = GetParam();
-  const Matrix d = gr::random_digraph(n, seed, 0.03);
-  gr::BitMatrix r1 = gr::adjacency_from_distances(d);
-  gr::BitMatrix r2 = r1;
-  gr::transitive_closure(r1);
-  gr::blocked_transitive_closure(r2, b);
-  // Boolean semiring is idempotent: the blocked result is *exactly* equal.
-  EXPECT_TRUE(r1 == r2) << "n=" << n << " b=" << b;
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BlockedTc,
-                         ::testing::Values(std::tuple{128, 64, 1},
-                                           std::tuple{192, 64, 2},
-                                           std::tuple{256, 128, 3},
-                                           std::tuple{256, 64, 4},
-                                           std::tuple{384, 128, 5}));
-
-TEST(BlockedTc, RejectsUnalignedBlocks) {
-  gr::BitMatrix m(128);
-  EXPECT_THROW(gr::blocked_transitive_closure(m, 32), rcs::Error);
-  EXPECT_THROW(gr::blocked_transitive_closure(m, 96), rcs::Error);
-}
-
-TEST(TransitiveClosure, DisconnectedComponentsStayDisconnected) {
-  gr::BitMatrix m(128);
-  for (std::size_t i = 0; i < 128; ++i) m.set(i, i);
-  for (std::size_t i = 0; i + 1 < 64; ++i) m.set(i, i + 1);
-  for (std::size_t i = 64; i + 1 < 128; ++i) m.set(i, i + 1);
-  gr::blocked_transitive_closure(m, 64);
-  EXPECT_TRUE(m.get(0, 63));
-  EXPECT_FALSE(m.get(0, 64));
-  EXPECT_TRUE(m.get(64, 127));
-  EXPECT_FALSE(m.get(64, 0));
 }
 
 }  // namespace

@@ -98,10 +98,13 @@ TEST(MiniMpi, BcastDeliversToAll) {
   net::World world(4, fast_net());
   std::atomic<int> sum{0};
   world.run([&](net::Comm& comm) {
-    std::vector<double> v;
-    if (comm.rank() == 2) v = {5.0, 6.0};
-    v = comm.bcast_doubles(2, 9, std::move(v));
-    ASSERT_EQ(v.size(), 2u);
+    const double sent[2] = {5.0, 6.0};
+    net::Payload payload;
+    if (comm.rank() == 2) payload = net::Payload::copy_of(sent, sizeof(sent));
+    payload = comm.bcast(2, 9, std::move(payload));
+    ASSERT_EQ(payload.size(), sizeof(sent));
+    double v[2];
+    std::memcpy(v, payload.data(), sizeof(v));
     sum += static_cast<int>(v[0] + v[1]);
   });
   EXPECT_EQ(sum.load(), 4 * 11);
@@ -112,12 +115,12 @@ TEST(MiniMpi, BcastIsRootSerialized) {
   np.bytes_per_s = 1e6;  // 1 MB/s so costs are visible
   net::World world(3, np);
   world.run([](net::Comm& comm) {
-    std::vector<double> v(125'000, 1.0);  // 1 MB -> 1 s per destination
     if (comm.rank() == 0) {
-      comm.bcast_doubles(0, 1, std::move(v));
+      // 1 MB -> 1 s per destination.
+      comm.bcast(0, 1, zero_payload(1'000'000));
       EXPECT_NEAR(comm.clock().now(), 2.0, 1e-9);  // two serialized sends
     } else {
-      comm.bcast_doubles(0, 1, {});
+      comm.bcast(0, 1, net::Payload());
       // rank 1 gets it after 1 s, rank 2 after 2 s.
       EXPECT_NEAR(comm.clock().now(), comm.rank() == 1 ? 1.0 : 2.0, 1e-9);
     }
@@ -131,27 +134,6 @@ TEST(MiniMpi, BarrierSynchronizesClocks) {
     comm.barrier();
     EXPECT_GE(comm.clock().now(), 4.0);
     EXPECT_LT(comm.clock().now(), 4.1);  // only tiny control traffic on top
-  });
-}
-
-TEST(MiniMpi, GatherCollectsFromEveryRank) {
-  net::World world(4, fast_net());
-  world.run([](net::Comm& comm) {
-    auto all = comm.gather_double(0, 5, comm.rank() * 1.5);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int r = 0; r < 4; ++r) EXPECT_DOUBLE_EQ(all[r], r * 1.5);
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
-TEST(MiniMpi, AllreduceMaxAgreesEverywhere) {
-  net::World world(5, fast_net());
-  world.run([](net::Comm& comm) {
-    const double m = comm.allreduce_max(static_cast<double>(comm.rank()));
-    EXPECT_DOUBLE_EQ(m, 4.0);
   });
 }
 
@@ -289,33 +271,6 @@ TEST(MiniMpi, TreeBcastBeatsSerialBcastInSimTime) {
   EXPECT_NEAR(tree, 3.0, 0.01);    // log2(8) rounds
 }
 
-TEST(MiniMpi, AllgatherConcatenatesInRankOrder) {
-  net::World world(4, fast_net());
-  world.run([](net::Comm& comm) {
-    std::vector<double> mine(static_cast<std::size_t>(comm.rank()) + 1,
-                             static_cast<double>(comm.rank()));
-    const auto all = comm.allgather_doubles(11, mine);
-    ASSERT_EQ(all.size(), 1u + 2u + 3u + 4u);
-    EXPECT_EQ(all[0], 0.0);
-    EXPECT_EQ(all[1], 1.0);
-    EXPECT_EQ(all[2], 1.0);
-    EXPECT_EQ(all[3], 2.0);
-    EXPECT_EQ(all.back(), 3.0);
-  });
-}
-
-TEST(MiniMpi, ReduceSumCollects) {
-  net::World world(5, fast_net());
-  world.run([](net::Comm& comm) {
-    const double s = comm.reduce_sum(2, 13, comm.rank() * 1.0);
-    if (comm.rank() == 2) {
-      EXPECT_DOUBLE_EQ(s, 0.0 + 1 + 2 + 3 + 4);
-    } else {
-      EXPECT_DOUBLE_EQ(s, 0.0);
-    }
-  });
-}
-
 TEST(MatrixChannel, RoundTripsStridedViews) {
   net::World world(2, fast_net());
   Matrix src = rcs::linalg::random_matrix(8, 8, 5);
@@ -328,16 +283,6 @@ TEST(MatrixChannel, RoundTripsStridedViews) {
       ASSERT_EQ(got.cols(), 5u);
       EXPECT_TRUE(rcs::linalg::bit_equal(got.view(), src.block(2, 3, 4, 5)));
     }
-  });
-}
-
-TEST(MatrixChannel, BcastMatrix) {
-  net::World world(3, fast_net());
-  Matrix src = rcs::linalg::random_matrix(4, 4, 6);
-  world.run([&](net::Comm& comm) {
-    Matrix m = comm.rank() == 1 ? src : Matrix();
-    m = net::bcast_matrix(comm, 1, 2, std::move(m));
-    EXPECT_TRUE(rcs::linalg::bit_equal(m.view(), src.view()));
   });
 }
 
