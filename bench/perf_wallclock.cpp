@@ -4,8 +4,9 @@
 // harness measures real elapsed time of the functional substrates — the
 // packed parallel gemm vs the legacy tiled loop vs the naive reference, the
 // streamed MatMulArray FPGA emulation, LU's opLU factorization, opL solve
-// and narrow opMM gemm, the min-plus fw_block, and mid-size
-// lu_functional / fw_functional runs — across a thread sweep, and writes
+// and narrow opMM gemm, the min-plus fw_block, and lu_functional /
+// fw_functional runs (small ones, and the p = 6 lookahead designs at the
+// benchmark's lu-mid and fw-fine shapes) — across a thread sweep, and writes
 // BENCH_perf.json so future PRs have a machine-readable perf trajectory to
 // regress against.
 //
@@ -270,16 +271,18 @@ Row bench_fw_block(long long b) {
   return row;
 }
 
-Row bench_lu_functional(long long n, long long b, int threads) {
+Row bench_lu_functional(long long n, long long b, int p, bool lookahead,
+                        int threads) {
   common::ThreadPool::set_global_threads(threads);
   core::SystemParams sys = core::SystemParams::cray_xd1();
-  sys.p = 3;
+  sys.p = p;
   const la::Matrix a =
       la::diagonally_dominant(static_cast<std::size_t>(n), 42);
   core::LuConfig cfg;
   cfg.n = n;
   cfg.b = b;
   cfg.mode = core::DesignMode::Hybrid;
+  cfg.lookahead = lookahead;
   Row row;
   row.kernel = "lu_functional";
   row.size = n;
@@ -290,16 +293,18 @@ Row bench_lu_functional(long long n, long long b, int threads) {
   return row;
 }
 
-Row bench_fw_functional(long long n, long long b, int threads) {
+Row bench_fw_functional(long long n, long long b, int p, bool lookahead,
+                        int threads) {
   common::ThreadPool::set_global_threads(threads);
   core::SystemParams sys = core::SystemParams::cray_xd1();
-  sys.p = 2;
+  sys.p = p;
   const la::Matrix d0 =
       rcs::graph::random_digraph(static_cast<std::size_t>(n), 7, 0.4);
   core::FwConfig cfg;
   cfg.n = n;
   cfg.b = b;
   cfg.mode = core::DesignMode::Hybrid;
+  cfg.lookahead = lookahead;
   Row row;
   row.kernel = "fw_functional";
   row.size = n;
@@ -678,8 +683,14 @@ int main(int argc, char** argv) {
     // --- Mid-size functional runs (simulated results identical across
     // thread counts; only the wall-clock below should move).
     for (int t : {1, std::max(hw, 4)}) {
-      rows.push_back(bench_lu_functional(256, 64, t));
-      rows.push_back(bench_fw_functional(256, 32, t));
+      rows.push_back(bench_lu_functional(256, 64, 3, false, t));
+      rows.push_back(bench_fw_functional(256, 32, 2, false, t));
+    }
+    // The benchmark's lu-mid and fw-fine shapes: p = 6 hybrid with
+    // lookahead, the designs the paper runs, end to end.
+    for (int t : {1, 4}) {
+      rows.push_back(bench_lu_functional(1536, 192, 6, true, t));
+      rows.push_back(bench_fw_functional(768, 32, 6, true, t));
     }
   }
 

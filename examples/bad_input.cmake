@@ -1,6 +1,7 @@
 # Bad-input regression for the example programs: every case must be reported
 # as a clean exit status 2 with a "<program>: " message on stderr, never by
-# dying in std::terminate.
+# dying in std::terminate, and before anything is written to stdout (flags
+# are read right after parsing, so bad input is rejected before any work).
 #
 #   cmake -DPROGRAM=<path to an example> -DEMPTY_FLAG=<one of its int flags>
 #         [-DCASES=<more cases>] -P bad_input.cmake
@@ -28,6 +29,10 @@ foreach(args IN LISTS cases)
   endif()
   if("${out}${err}" MATCHES "terminate")
     message(FATAL_ERROR "${name} ${shown}: died in terminate\n${err}")
+  endif()
+  if(NOT out STREQUAL "")
+    message(FATAL_ERROR "${name} ${shown}: wrote to stdout before failing\n"
+                        "${out}")
   endif()
   if(NOT err MATCHES "^${name}: ")
     message(FATAL_ERROR "${name} ${shown}: no error message\n${err}")

@@ -58,22 +58,31 @@ int run(int argc, char** argv) {
                "functional lu/fw only: also print the per-phase predicted vs "
                "simulated vs measured drift report");
   if (!cli.parse(argc, argv)) return 0;
-
   const std::string app = cli.get_string("app");
+  const std::string mode_name = cli.get_string("mode");
   const std::string plane = cli.get_string("plane");
-  const DesignMode mode = parse_mode(cli.get_string("mode"));
+  const std::string machine = cli.get_string("machine");
+  long long n = cli.get_int("n");
+  long long b = cli.get_int("b");
+  const long long p = cli.get_int("p");
+  const long long bf = cli.get_int("bf");
+  const long long l = cli.get_int("l");
+  const std::uint64_t seed = cli.get_int("seed");
+  const bool csv = cli.get_bool("csv");
+  const bool drift = cli.get_bool("drift");
+
+  const DesignMode mode = parse_mode(mode_name);
   const bool functional = plane == "functional";
   RCS_CHECK_MSG(functional || plane == "analytic",
                 "unknown --plane '" << plane << "'");
+  RCS_CHECK_MSG(!drift || (functional && (app == "lu" || app == "fw")),
+                "--drift needs --plane functional and --app lu|fw");
 
   core::SystemParams sys = core::SystemParams::cray_xd1();
-  if (cli.get_string("machine") == "xt3") sys = core::SystemParams::cray_xt3_drc();
-  if (cli.get_string("machine") == "rasc") sys = core::SystemParams::sgi_rasc();
-  if (cli.get_int("p") > 0) sys.p = static_cast<int>(cli.get_int("p"));
+  if (machine == "xt3") sys = core::SystemParams::cray_xt3_drc();
+  if (machine == "rasc") sys = core::SystemParams::sgi_rasc();
+  if (p > 0) sys.p = static_cast<int>(p);
 
-  long long n = cli.get_int("n");
-  long long b = cli.get_int("b");
-  const std::uint64_t seed = cli.get_int("seed");
   Row row;
 
   if (app == "lu" || app == "chol") {
@@ -82,8 +91,8 @@ int run(int argc, char** argv) {
     if (app == "lu") {
       core::LuConfig cfg;
       cfg.n = n; cfg.b = b; cfg.mode = mode;
-      cfg.b_f = cli.get_int("bf");
-      cfg.l = static_cast<int>(cli.get_int("l"));
+      cfg.b_f = bf;
+      cfg.l = static_cast<int>(l);
       if (functional) {
         const auto a = linalg::diagonally_dominant(n, seed);
         auto ref = a;
@@ -99,8 +108,8 @@ int run(int argc, char** argv) {
     } else {
       core::CholConfig cfg;
       cfg.n = n; cfg.b = b; cfg.mode = mode;
-      cfg.b_f = cli.get_int("bf");
-      cfg.l = static_cast<int>(cli.get_int("l"));
+      cfg.b_f = bf;
+      cfg.l = static_cast<int>(l);
       if (functional) {
         const auto a = linalg::spd_matrix(n, seed);
         auto ref = a;
@@ -119,7 +128,7 @@ int run(int argc, char** argv) {
     if (n == 0) n = functional ? b * sys.p * 3 : b * sys.p * 60;
     core::FwConfig cfg;
     cfg.n = n; cfg.b = b; cfg.mode = mode;
-    cfg.l1 = cli.get_int("l");
+    cfg.l1 = l;
     if (functional) {
       const auto d0 = graph::random_digraph(n, seed, 0.5);
       auto ref = d0;
@@ -137,7 +146,7 @@ int run(int argc, char** argv) {
     if (n == 0) n = functional ? b * 2 : b * 10;
     core::MmConfig cfg;
     cfg.n = n; cfg.b = b; cfg.mode = mode;
-    cfg.b_f = cli.get_int("bf");
+    cfg.b_f = bf;
     if (functional) {
       const auto a = linalg::random_matrix(n, n, seed);
       const auto bm = linalg::random_matrix(n, n, seed + 1);
@@ -158,30 +167,28 @@ int run(int argc, char** argv) {
   Table t;
   t.set_header({"app", "mode", "plane", "n", "b", "p", "latency (s)",
                 "GFLOPS", "network bytes", "verified"});
-  t.add_row({app, cli.get_string("mode"), plane, Table::num(n), Table::num(b),
+  t.add_row({app, mode_name, plane, Table::num(n), Table::num(b),
              Table::num((long long)sys.p), Table::num(row.run.seconds, 6),
              Table::num(row.run.gflops(), 4),
              Table::num((long long)row.run.bytes_on_network), row.verified});
-  if (cli.get_bool("csv")) {
+  if (csv) {
     t.print_csv(std::cout);
   } else {
     t.print(std::cout);
   }
 
-  if (cli.get_bool("drift")) {
-    RCS_CHECK_MSG(functional && (app == "lu" || app == "fw"),
-                  "--drift needs --plane functional and --app lu|fw");
+  if (drift) {
     if (app == "lu") {
       core::LuConfig cfg;
       cfg.n = n; cfg.b = b; cfg.mode = mode;
-      cfg.b_f = cli.get_int("bf");
-      cfg.l = static_cast<int>(cli.get_int("l"));
+      cfg.b_f = bf;
+      cfg.l = static_cast<int>(l);
       const auto a = linalg::diagonally_dominant(n, seed);
       core::lu_drift_report(sys, cfg, a).print(std::cout);
     } else {
       core::FwConfig cfg;
       cfg.n = n; cfg.b = b; cfg.mode = mode;
-      cfg.l1 = cli.get_int("l");
+      cfg.l1 = l;
       const auto d0 = graph::random_digraph(n, seed, 0.5);
       core::fw_drift_report(sys, cfg, d0).print(std::cout);
     }

@@ -22,10 +22,12 @@ int run(int argc, char** argv) {
   cli.add_int("b", 128, "block size");
   cli.add_int("p", 4, "number of simulated nodes");
   if (!cli.parse(argc, argv)) return 0;
+  const long long n = cli.get_int("n");
+  const long long b = cli.get_int("b");
+  const int p = static_cast<int>(cli.get_int("p"));
 
   // 1. A system: one Cray XD1 chassis, scaled to p nodes.
-  core::SystemParams sys = core::SystemParams::cray_xd1().with_nodes(
-      static_cast<int>(cli.get_int("p")));
+  core::SystemParams sys = core::SystemParams::cray_xd1().with_nodes(p);
   std::cout << "System: " << sys.name << " with " << sys.p << " nodes\n"
             << "  per node: dgemm " << sys.gpp.sustained(node::CpuKernel::Dgemm) / 1e9
             << " GFLOPS CPU + " << sys.mm_fpga.name << " ("
@@ -36,8 +38,8 @@ int run(int argc, char** argv) {
 
   // 2. The design model picks the hardware/software split.
   core::LuConfig cfg;
-  cfg.n = cli.get_int("n");
-  cfg.b = cli.get_int("b");
+  cfg.n = n;
+  cfg.b = b;
   cfg.mode = core::DesignMode::Hybrid;
   const auto part = core::solve_mm_partition(sys, cfg.b);
   std::cout << "Eq. 4 partition for b = " << cfg.b << ": b_f = " << part.b_f

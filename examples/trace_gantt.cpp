@@ -25,12 +25,15 @@ int run(int argc, char** argv) {
   cli.add_int("p", 4, "simulated nodes");
   cli.add_string("csv", "", "write the Gantt CSV here (empty: skip)");
   if (!cli.parse(argc, argv)) return 0;
+  const long long n = cli.get_int("n");
+  const long long b = cli.get_int("b");
+  const int p = static_cast<int>(cli.get_int("p"));
+  const std::string path = cli.get_string("csv");
 
-  const core::SystemParams sys = core::SystemParams::cray_xd1().with_nodes(
-      static_cast<int>(cli.get_int("p")));
+  const core::SystemParams sys = core::SystemParams::cray_xd1().with_nodes(p);
   core::FwConfig cfg;
-  cfg.n = cli.get_int("n");
-  cfg.b = cli.get_int("b");
+  cfg.n = n;
+  cfg.b = b;
   cfg.mode = core::DesignMode::Hybrid;
 
   const linalg::Matrix d0 = graph::random_digraph(cfg.n, 5, 0.5);
@@ -49,7 +52,6 @@ int run(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  const std::string path = cli.get_string("csv");
   if (!path.empty()) {
     std::ofstream out(path);
     trace.write_csv(out);

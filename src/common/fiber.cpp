@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <exception>
@@ -75,6 +74,10 @@ struct WorkerContext {
 
 thread_local WorkerContext tls_worker;
 thread_local FiberImpl* tls_current = nullptr;
+/// True while this thread's worker loop is idle in ThreadPool::idle_step,
+/// which may run a pool chunk on the loop's own stack: such a chunk is a
+/// leaf kernel and must never reach Fiber::park.
+thread_local bool tls_helping = false;
 
 std::size_t page_size() {
   static const std::size_t ps = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
@@ -122,8 +125,10 @@ struct FiberImpl {
 };
 
 struct FiberSchedulerImpl {
-  std::mutex mu;
-  std::condition_variable cv;
+  explicit FiberSchedulerImpl(ThreadPool& p) : pool(p) {}
+
+  ThreadPool& pool;  // hosts the worker loops; idle loops wait in it
+  std::mutex mu;     // guards runq and unfinished
   std::deque<FiberImpl*> runq;
   int unfinished = 0;
 
@@ -132,7 +137,13 @@ struct FiberSchedulerImpl {
       std::lock_guard<std::mutex> lock(mu);
       runq.push_back(f);
     }
-    cv.notify_one();
+    pool.wake_hosted();
+  }
+
+  /// A worker loop has something of its own to do: a ready fiber, or exit.
+  bool has_work() {
+    std::lock_guard<std::mutex> lock(mu);
+    return unfinished == 0 || !runq.empty();
   }
 
   static void trampoline();
@@ -220,7 +231,7 @@ void FiberSchedulerImpl::resume(FiberImpl* f) {
       std::lock_guard<std::mutex> lock(mu);
       last = (--unfinished == 0);
     }
-    if (last) cv.notify_all();  // wake every idle worker loop to exit
+    if (last) pool.wake_hosted();  // every idle loop exits
     return;
   }
   if (s == St::kParking) {
@@ -240,16 +251,31 @@ void FiberSchedulerImpl::resume(FiberImpl* f) {
   enqueue(f);
 }
 
+/// A ready fiber always goes first. With none ready, the loop sleeps in the
+/// pool's one wait point (ThreadPool::idle_step), which runs a chunk of
+/// any pending parallel_for job — typically one issued by a fiber running
+/// on another loop — and returns after that chunk, or when enqueue() or
+/// the last fiber's retirement wakes it.
 void FiberSchedulerImpl::worker_loop() {
-  std::unique_lock<std::mutex> lock(mu);
+  const std::function<bool()> work = [this] { return has_work(); };
   for (;;) {
-    cv.wait(lock, [&] { return unfinished == 0 || !runq.empty(); });
-    if (runq.empty()) return;  // unfinished == 0: all fibers retired
-    FiberImpl* f = runq.front();
-    runq.pop_front();
-    lock.unlock();
-    resume(f);
-    lock.lock();
+    FiberImpl* f = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (!runq.empty()) {
+        f = runq.front();
+        runq.pop_front();
+      } else if (unfinished == 0) {
+        return;  // all fibers retired
+      }
+    }
+    if (f != nullptr) {
+      resume(f);
+      continue;
+    }
+    tls_helping = true;
+    pool.idle_step(work);
+    tls_helping = false;
   }
 }
 
@@ -265,6 +291,9 @@ Fiber* Fiber::current() {
 }
 
 void Fiber::park(std::unique_lock<std::mutex>& lock) {
+  RCS_CHECK_MSG(!detail::tls_helping,
+                "Fiber::park reached from a pool chunk run by an idle fiber "
+                "worker loop; chunk bodies must not block");
   FiberImpl* f = detail::tls_current;
   RCS_CHECK_MSG(f != nullptr, "Fiber::park called off-fiber");
   RCS_CHECK_MSG(lock.owns_lock(), "Fiber::park requires a held lock");
@@ -362,7 +391,8 @@ void FiberScheduler::run(int n, const Options& opt,
   const std::size_t stack =
       opt.stack_bytes != 0 ? round_up_pages(opt.stack_bytes)
                            : default_stack_bytes();
-  FiberSchedulerImpl impl;
+  ThreadPool& pool = ThreadPool::global();
+  FiberSchedulerImpl impl(pool);
   std::vector<FiberImpl*> fibers;
   fibers.reserve(static_cast<std::size_t>(n));
   const bool lanes = opt.lane_name && obs::trace_enabled();
@@ -382,11 +412,8 @@ void FiberScheduler::run(int n, const Options& opt,
   // (the first loop on a thread exits only when all fibers are done, so
   // trailing loops return immediately).
   const int workers = std::max(1, opt.workers);
-  ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(workers), 1,
-      [&impl](std::size_t w0, std::size_t w1) {
-        for (std::size_t w = w0; w < w1; ++w) impl.worker_loop();
-      });
+  pool.host_loops(static_cast<std::size_t>(workers),
+                  [&impl](std::size_t) { impl.worker_loop(); });
 
   std::exception_ptr first;
   for (FiberImpl* f : fibers) {

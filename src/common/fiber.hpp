@@ -4,8 +4,8 @@
 // A Fiber is a resumable user-level context (ucontext/makecontext) with its
 // own mmap'd, guard-paged stack. FiberScheduler::run multiplexes n fiber
 // tasks over a small fixed set of cooperative worker loops hosted on the
-// process-global common::ThreadPool, so a p=1024 MiniMPI world needs p
-// stacks but only a handful of OS threads.
+// process-global common::ThreadPool, so a MiniMPI world of any size needs
+// p stacks but no OS threads beyond the pool's.
 //
 // Blocking protocol: a task that must wait registers itself with whoever
 // will wake it (e.g. a mailbox waiter list) *under that structure's mutex*,
@@ -24,13 +24,19 @@
 // post-switch CAS kParking -> kParked decides which side won.
 //
 // Worker-loop hosting: run() drives the loops through one
-// ThreadPool::parallel_for(0, workers, ...) call, so scheduler concurrency
-// comes from the same pool the compute kernels use and the caller thread
+// ThreadPool::host_loops(workers, ...) call, so scheduler concurrency comes
+// from the same threads the compute kernels use and the caller thread
 // always participates (a 1-thread pool degrades to a single worker loop
-// running every fiber — still correct, fully serial). Fiber swaps
-// save/restore the pool's nested-parallelism flag and the obs trace-lane
-// binding, so code on a fiber sees a top-level thread: its parallel_for
-// calls fan out and its spans land in the fiber's own lane.
+// running every fiber — still correct, fully serial). A loop resumes a
+// ready fiber first. With none ready it waits in ThreadPool::idle_step,
+// the pool's one wait point, which runs chunks of pending parallel_for
+// jobs (typically issued by a fiber on another loop) and sleeps when
+// there are none; a job push or Fiber::wake wakes it. Such a chunk runs
+// on the loop's own stack and must never block: Fiber::park from it is a
+// checked error. Fiber swaps save/restore the pool's nested-parallelism
+// flag and the obs trace-lane binding, so code on a fiber sees a
+// top-level thread: its parallel_for calls fan out and its spans land in
+// the fiber's own lane.
 //
 // Sanitizer support: stack switches are annotated for TSan and ASan
 // (__tsan_switch_to_fiber / __sanitizer_start_switch_fiber) when the
@@ -63,7 +69,8 @@ class Fiber {
   /// released before the suspension becomes visible to wakers holding the
   /// same mutex and re-acquired before park returns. The caller must have
   /// registered this fiber with its waker under `lock` first (see file
-  /// comment for the protocol).
+  /// comment for the protocol). Throws rcs::Error, without parking, when
+  /// called off-fiber or from a pool chunk that an idle worker loop runs.
   static void park(std::unique_lock<std::mutex>& lock);
 
   /// Make a parked (or just-parking) fiber runnable again. Each park

@@ -54,6 +54,7 @@ struct Job {
   std::size_t begin = 0;
   std::size_t count = 0;    // end - begin
   std::size_t nchunks = 0;  // static partition size
+  bool host = false;        // hosts worker loops: idle_step never claims it
   std::int64_t submit_ns = -1;       // telemetry: when the job was enqueued
   std::atomic<std::size_t> next{0};  // next unclaimed chunk index
   std::atomic<std::size_t> done{0};  // chunks finished
@@ -109,9 +110,23 @@ struct ThreadPool::Impl {
   int threads = 1;
   std::mutex mu;
   std::condition_variable cv;  // wakes workers when jobs arrive / on stop
+  std::condition_variable idle_cv;  // wakes hosted loops sleeping in idle_step
   std::deque<std::shared_ptr<Job>> jobs;
   bool stopping = false;
   std::vector<std::thread> workers;
+
+  /// The first queued job idle_step may claim a chunk of, or null. Call
+  /// with `mu` held.
+  std::shared_ptr<Job> helpable() const {
+    for (const std::shared_ptr<Job>& job : jobs) {
+      if (!job->host && !job->exhausted()) return job;
+    }
+    return nullptr;
+  }
+
+  void run(std::size_t begin, std::size_t end, std::size_t grain,
+           const std::function<void(std::size_t, std::size_t)>& body,
+           bool host);
 
   void worker_main() {
     std::unique_lock<std::mutex> lock(mu);
@@ -165,32 +180,75 @@ int ThreadPool::threads() const { return impl_->threads; }
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {
+  impl_->run(begin, end, grain, body, /*host=*/false);
+}
+
+void ThreadPool::host_loops(std::size_t n,
+                            const std::function<void(std::size_t)>& loop) {
+  impl_->run(0, n, 1,
+             [&loop](std::size_t b, std::size_t e) {
+               for (std::size_t i = b; i < e; ++i) loop(i);
+             },
+             /*host=*/true);
+}
+
+void ThreadPool::idle_step(const std::function<bool()>& has_work) {
+  std::unique_lock<std::mutex> lock(impl_->mu);
+  for (;;) {
+    if (has_work()) return;
+    if (std::shared_ptr<Job> job = impl_->helpable()) {
+      lock.unlock();
+      job->run_one();
+      return;
+    }
+    impl_->idle_cv.wait(lock);
+  }
+}
+
+void ThreadPool::wake_hosted() {
+  {
+    // Taking the mutex orders this wake after any has_work() check that
+    // missed the new work: that loop is already waiting on idle_cv.
+    std::lock_guard<std::mutex> lock(impl_->mu);
+  }
+  impl_->idle_cv.notify_all();
+}
+
+void ThreadPool::Impl::run(
+    std::size_t begin, std::size_t end, std::size_t grain,
+    const std::function<void(std::size_t, std::size_t)>& body, bool host) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const std::size_t g = std::max<std::size_t>(1, grain);
   const std::size_t max_chunks = std::min<std::size_t>(
-      static_cast<std::size_t>(impl_->threads), std::max<std::size_t>(1, count / g));
-  const bool telemetry = pool_telemetry_on();
+      static_cast<std::size_t>(threads), std::max<std::size_t>(1, count / g));
+  // The counters measure compute work. Hosted loops are not: their chunks
+  // last as long as the whole fiber world, and the chunks they help with
+  // are counted on their own.
+  const bool telemetry = !host && pool_telemetry_on();
   if (max_chunks <= 1 || tls_in_parallel_body) {
     if (telemetry) PoolMetrics::get().serial_runs.add(1);
-    obs::ScopedTimer span("parallel_for(serial)", "pool");
+    obs::ScopedTimer span(host ? "host_loops(serial)" : "parallel_for(serial)",
+                          "pool");
     body(begin, end);
     return;
   }
   if (telemetry) PoolMetrics::get().jobs.add(1);
-  obs::ScopedTimer span("parallel_for", "pool");
+  obs::ScopedTimer span(host ? "host_loops" : "parallel_for", "pool");
 
   auto job = std::make_shared<Job>();
   job->body = &body;
   job->begin = begin;
   job->count = count;
   job->nchunks = max_chunks;
+  job->host = host;
   if (telemetry) job->submit_ns = obs::trace_now_ns();
   {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->jobs.push_back(job);
+    std::lock_guard<std::mutex> lock(mu);
+    jobs.push_back(job);
   }
-  impl_->cv.notify_all();
+  cv.notify_all();
+  if (!host) idle_cv.notify_all();
 
   // The caller works too: claim chunks until the job is exhausted, then wait
   // for the chunks other threads claimed.
@@ -205,9 +263,8 @@ void ThreadPool::parallel_for(
   // Retire the (exhausted) job from the queue ourselves: workers only pop
   // lazily on their next wake-up, and the pool may be destroyed before then.
   {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto& q = impl_->jobs;
-    q.erase(std::remove(q.begin(), q.end(), job), q.end());
+    std::lock_guard<std::mutex> lock(mu);
+    jobs.erase(std::remove(jobs.begin(), jobs.end(), job), jobs.end());
   }
   if (job->error) std::rethrow_exception(job->error);
 }

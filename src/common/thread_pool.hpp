@@ -2,13 +2,16 @@
 // Intra-node parallel compute runtime: a persistent worker pool with a
 // static-chunked `parallel_for` primitive.
 //
-// The functional plane runs one std::thread per MiniMPI rank, and several
-// ranks can reach a compute kernel at the same simulated instant. To keep
-// the machine from oversubscribing (p ranks x t threads each), all kernels
-// share ONE process-global pool: concurrent `parallel_for` calls from
-// different rank threads enqueue into the same worker set, and a call made
-// from inside a pool worker (nested parallelism) degrades to serial
-// execution instead of deadlocking or spawning more threads.
+// The process runs one fixed set of OS threads: the pool's workers plus
+// whichever thread calls into it. MiniMPI rank fibers are hosted on these
+// same threads (common::FiberScheduler runs its worker loops through
+// host_loops), and every compute kernel's `parallel_for` enqueues into the
+// same pool, so rank tasks and kernel chunks share one worker set and the
+// machine is never oversubscribed. An idle fiber worker loop waits in
+// idle_step, where it claims chunks of pending jobs as a plain worker
+// would. A call made from inside a running body (nested parallelism)
+// degrades to serial execution instead of deadlocking or spawning more
+// threads.
 //
 // Determinism contract: `parallel_for` splits [begin, end) into contiguous
 // chunks that partition the range, so a body that writes only its own chunk
@@ -47,6 +50,30 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// Cooperative-scheduler hosting, for common::FiberScheduler only.
+  ///
+  /// host_loops runs loop(0..n-1) like parallel_for(0, n, 1, ...) with one
+  /// index per chunk (the calling thread runs at least one), but the job
+  /// is never claimed by idle_step: a hosted loop never ends up running
+  /// another loop. The job stays out of the pool telemetry (pool.jobs,
+  /// pool.chunks, busy and queue-wait time), which counts compute chunks.
+  void host_loops(std::size_t n, const std::function<void(std::size_t)>& loop);
+
+  /// The one wait point of a hosted loop with nothing of its own to run.
+  /// With the pool's mutex held it calls `has_work()`; when that is true it
+  /// returns at once. Otherwise it runs one chunk of a pending
+  /// parallel_for job and returns, or, when no job has an unclaimed chunk,
+  /// sleeps until a job is pushed or wake_hosted() is called, and checks
+  /// again. `has_work` may take a mutex of its own, which must never be
+  /// held while calling wake_hosted. Chunks run here count in the pool
+  /// telemetry like any other.
+  void idle_step(const std::function<bool()>& has_work);
+
+  /// Wake every loop sleeping in idle_step, after making a has_work() true.
+  /// All of them: a woken loop checks only its own work, and loops of
+  /// several host_loops calls may be waiting.
+  void wake_hosted();
+
   /// The shared process-global pool used by all parallel kernels. Sized on
   /// first use from the `RCS_THREADS` environment variable, defaulting to
   /// std::thread::hardware_concurrency().
@@ -63,12 +90,13 @@ class ThreadPool {
 };
 
 /// Swap the calling thread's "inside a parallel_for body" flag, returning
-/// the previous value. For the fiber scheduler only: a rank fiber hosted on
-/// a pool worker must see top-level-thread semantics (its compute kernels'
-/// parallel_for calls fan out instead of silently degrading to serial), so
-/// the scheduler clears the flag when switching onto a fiber stack and
-/// restores the host's value when the fiber yields. True nested parallelism
-/// — a parallel_for issued from inside a running body — still runs serial.
+/// the previous value. For the fiber scheduler only: a rank fiber hosted in
+/// a host_loops chunk must see top-level-thread semantics (its compute
+/// kernels' parallel_for calls fan out instead of silently degrading to
+/// serial), so the scheduler clears the flag when switching onto a fiber
+/// stack and restores the host's value when the fiber yields. True nested
+/// parallelism — a parallel_for issued from inside a running body — still
+/// runs serial.
 bool exchange_in_parallel_body(bool value);
 
 /// Convenience: parallel_for on the shared global pool.

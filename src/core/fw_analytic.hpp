@@ -59,9 +59,10 @@ struct FwConfig {
   /// bit-identical under any slowdown.
   bool fault_tolerance = false;
   /// Rank scheduling for the functional plane (net::World::set_max_workers):
-  /// 0 = auto, >0 = fiber scheduler with that many worker loops,
-  /// World::kThreadPerRank = force one OS thread per rank. Outputs and
-  /// simulated clocks are identical in every mode.
+  /// 0 = auto (rank fibers on one worker loop per pool thread; idle loops
+  /// run the other ranks' kernel chunks), >0 = at most that many worker
+  /// loops, World::kThreadPerRank = one OS thread per rank (explicit only).
+  /// Outputs and simulated clocks are identical in every mode.
   int max_workers = 0;
 };
 

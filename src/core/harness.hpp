@@ -72,9 +72,10 @@ template <class State, class Compute, class Gather>
 RankTotals run_ranks(const SystemParams& sys, const node::NodeParams& params,
                      const RankOptions& opts, sim::TraceRecorder* trace,
                      const Compute& compute, const Gather& gather) {
-  // Spawn the shared compute pool before the rank threads exist: every
-  // rank's kernels run through this one pool, so p concurrent ranks never
-  // oversubscribe the machine and never race the pool's lazy construction.
+  // Spawn the shared compute pool before the world runs: the rank fibers'
+  // worker loops are hosted on its threads and every rank's kernels run
+  // through it, so p ranks never oversubscribe the machine and never race
+  // the pool's lazy construction.
   // Virtual-clock charges stay serial per rank, so simulated timings are
   // independent of RCS_THREADS.
   common::ThreadPool::global();

@@ -66,9 +66,9 @@ struct LuConfig {
   /// Requires fault_tolerance.
   double straggler_timeout_s = 0.0;
   /// Rank scheduling for the functional plane (net::World::set_max_workers):
-  /// 0 = auto (thread-per-rank for small worlds, fiber scheduler above
-  /// World::kAutoFiberThreshold ranks), >0 = fiber scheduler with that many
-  /// worker loops, World::kThreadPerRank = force one OS thread per rank.
+  /// 0 = auto (rank fibers on one worker loop per pool thread; idle loops
+  /// run the other ranks' kernel chunks), >0 = at most that many worker
+  /// loops, World::kThreadPerRank = one OS thread per rank (explicit only).
   /// Outputs and simulated clocks are identical in every mode.
   int max_workers = 0;
 };

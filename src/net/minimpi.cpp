@@ -624,14 +624,10 @@ int World::resolve_workers() const {
       if (v >= 1 || v == kThreadPerRank) mw = v;
     }
   }
-  if (mw == 0) {
-    // Auto: small worlds keep the thread-per-rank schedule (ranks' real
-    // compute overlaps with no cooperative scheduler in the way); large
-    // worlds multiplex onto the pool's thread budget.
-    if (size_ <= kAutoFiberThreshold) return kThreadPerRank;
-    mw = common::ThreadPool::global().threads();
-  }
   if (mw == kThreadPerRank) return kThreadPerRank;
+  // Auto: one worker loop per pool thread, so the ranks and the kernels'
+  // parallel_for chunks share the pool's threads and no more.
+  if (mw == 0) mw = common::ThreadPool::global().threads();
   return std::min(mw, size_);
 }
 

@@ -483,16 +483,16 @@ class World {
   int size() const { return size_; }
   const NetworkParams& network() const { return net_; }
 
-  /// Run every rank's rank_main to completion and return. Depending on the
-  /// scheduling mode (set_max_workers), ranks execute either as one OS
-  /// thread each or as cooperative fibers multiplexed over a small worker
-  /// set; the semantics are identical either way — simulated clocks, FIFO
-  /// per-(src,tag) delivery, poison/RankFailed propagation, and FaultPlan
-  /// replay do not depend on the mode (receives name their source and tag,
-  /// and per-pair order is fixed by the sender's program order, so no
-  /// scheduler interleaving is observable). Rethrows the first rank
-  /// exception after joining; when one
-  /// rank fails, every mailbox is poisoned so peers blocked in recv/wait/
+  /// Run every rank's rank_main to completion and return. By default ranks
+  /// execute as cooperative fibers multiplexed over the pool's threads; the
+  /// explicit kThreadPerRank mode (set_max_workers) gives each rank an OS
+  /// thread instead. The semantics are identical either way — simulated
+  /// clocks, FIFO per-(src,tag) delivery, poison/RankFailed propagation,
+  /// and FaultPlan replay do not depend on the mode (receives name their
+  /// source and tag, and per-pair order is fixed by the sender's program
+  /// order, so no scheduler interleaving is observable). Rethrows the first
+  /// rank exception after joining; when one rank fails, every mailbox is
+  /// poisoned so peers blocked in recv/wait/
   /// barrier wake with WorldAborted instead of hanging (those secondary
   /// aborts are swallowed — the original exception is what propagates).
   /// The Comms (and their clocks / byte counters) remain inspectable
@@ -527,26 +527,27 @@ class World {
   /// Ranks that fail-stopped during the last run(), ascending.
   std::vector<int> failed_ranks() const;
 
-  /// Force thread-per-rank execution (see set_max_workers).
+  /// Explicit thread-per-rank execution (see set_max_workers): one OS
+  /// thread per rank, blocking on condition variables, beside the pool's
+  /// threads. Never chosen by default. It exists so that the scheduler
+  /// cross-check tests can run MiniMPI under real preemptive threads, where
+  /// the thread sanitizer sees every rank on its own thread.
   static constexpr int kThreadPerRank = -1;
 
-  /// Ranks at or below this size default to thread-per-rank ("auto" mode):
-  /// small worlds keep one OS thread per rank (real compute overlaps across
-  /// ranks with no scheduler in the way), large worlds switch to fibers so
-  /// p=256–1024 fits in one process.
-  static constexpr int kAutoFiberThreshold = 32;
-
-  /// Scheduling-mode knob for run():
-  ///   0 (default)      — auto: thread-per-rank for size() <=
-  ///                      kAutoFiberThreshold, otherwise the fiber
-  ///                      scheduler with min(pool threads, size()) workers.
-  ///                      The RCS_MAX_WORKERS environment variable (same
-  ///                      encoding as this knob) overrides auto's choice.
-  ///   w > 0            — fiber scheduler multiplexing the ranks over at
-  ///                      most w cooperative workers (hosted on the global
-  ///                      ThreadPool; effective concurrency is additionally
-  ///                      capped by the pool's thread count).
-  ///   kThreadPerRank   — force one OS thread per rank.
+  /// Rank scheduling for run():
+  ///   0 (default)      — auto: the fiber scheduler with min(pool threads,
+  ///                      size()) worker loops, at every world size. The
+  ///                      loops are hosted on the global ThreadPool's
+  ///                      threads, so the process runs no more OS threads
+  ///                      than the pool has, and a loop with no ready rank
+  ///                      runs chunks of the other ranks' parallel_for
+  ///                      jobs. The RCS_MAX_WORKERS environment variable
+  ///                      (same encoding as this knob) overrides auto.
+  ///   w > 0            — the fiber scheduler with at most w worker loops
+  ///                      (effective concurrency is additionally capped by
+  ///                      the pool's thread count).
+  ///   kThreadPerRank   — one OS thread per rank (see above).
+  /// Outputs, simulated clocks and traces are identical in every mode.
   void set_max_workers(int max_workers);
   int max_workers() const { return max_workers_; }
 

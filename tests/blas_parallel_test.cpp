@@ -6,12 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/fiber.hpp"
 #include "common/thread_pool.hpp"
 #include "core/system.hpp"
 #include "fpga/matmul_array.hpp"
@@ -478,6 +484,141 @@ TEST(ThreadPool, RankFiberParallelForIsNotSerialized) {
   });
   EXPECT_EQ(chunks0.load(), 3);
   EXPECT_EQ(chunks1.load(), 3);
+  common::ThreadPool::set_global_threads(1);
+}
+
+rcs::net::NetworkParams instant_net() {
+  rcs::net::NetworkParams np;
+  np.bytes_per_s = 1e9;
+  np.latency_s = 0.0;
+  return np;
+}
+
+/// Spin (yielding) until `flag` is set or ten seconds pass; the deadline
+/// turns a scheduler that never helps into a test failure, not a hang.
+void await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+// Idle fiber worker loops run other ranks' kernel chunks. In a default
+// (fiber) world of 4 ranks on a 4-thread pool, rank 0 calls parallel_for
+// while ranks 1-3 are parked in recv, so the other three threads are
+// worker loops with no ready fiber. The chunk rank 0 runs itself waits
+// until some other thread has started a chunk, so the job must be helped
+// whatever the timing. A gemm issued from the same rank must then still be
+// bit-identical to the naive product.
+TEST(ThreadPool, IdleFiberLoopsRunAParkedWorldsChunks) {
+  common::ThreadPool::set_global_threads(4);
+  rcs::net::World world(4, instant_net());
+  const la::Matrix a = seeded(96, 80, 21);
+  const la::Matrix b = seeded(80, 72, 22);
+  la::Matrix c_ref = seeded(96, 72, 23);
+  la::Matrix c = c_ref;
+  la::gemm_naive(a.view(), b.view(), c_ref.view());
+  std::mutex ids_mu;
+  std::set<std::thread::id> ids;
+  std::atomic<bool> helped{false};
+  world.run([&](rcs::net::Comm& comm) {
+    if (comm.rank() != 0) {
+      comm.recv(0, 1);
+      return;
+    }
+    const std::thread::id me = std::this_thread::get_id();
+    common::parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
+      const std::thread::id id = std::this_thread::get_id();
+      {
+        std::lock_guard<std::mutex> lock(ids_mu);
+        ids.insert(id);
+      }
+      if (id != me) {
+        helped = true;
+      } else {
+        await(helped);
+      }
+    });
+    la::gemm(a.view(), b.view(), c.view());
+    for (int r = 1; r < comm.size(); ++r) comm.send_value(r, 1, 0);
+  });
+  EXPECT_TRUE(helped.load());
+  EXPECT_GE(ids.size(), 2u);
+  EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()));
+  common::ThreadPool::set_global_threads(1);
+}
+
+// Many rank fibers issue parallel_for at once, interleaved with messages,
+// at 1, 2 and 4 pool threads: every job completes (the suite TIMEOUT is the
+// deadlock guard) and every rank's gemm is bit-identical to the naive one.
+TEST(ThreadPool, ManyFibersIssueParallelForAtOnce) {
+  constexpr int kP = 16;
+  const la::Matrix a = seeded(64, 64, 31);
+  const la::Matrix b = seeded(64, 64, 32);
+  la::Matrix c_ref(64, 64);
+  la::gemm_naive(a.view(), b.view(), c_ref.view());
+  for (const int threads : {1, 2, 4}) {
+    common::ThreadPool::set_global_threads(threads);
+    rcs::net::World world(kP, instant_net());
+    std::vector<la::Matrix> c(kP, la::Matrix(64, 64));
+    std::vector<std::size_t> sums(kP, 0);
+    world.run([&](rcs::net::Comm& comm) {
+      const int r = comm.rank();
+      const auto me = static_cast<std::size_t>(r);
+      for (int round = 0; round < 3; ++round) {
+        std::atomic<std::size_t> sum{0};
+        common::parallel_for(0, 1000, 1, [&](std::size_t i0, std::size_t i1) {
+          for (std::size_t i = i0; i < i1; ++i) sum.fetch_add(i);
+        });
+        sums[me] += sum.load();
+        comm.send_value((r + 1) % kP, round, r);
+        EXPECT_EQ(comm.recv((r + kP - 1) % kP, round).as<int>(),
+                  (r + kP - 1) % kP);
+      }
+      la::gemm(a.view(), b.view(), c[me].view());
+      comm.barrier();
+    });
+    for (int r = 0; r < kP; ++r) {
+      const auto me = static_cast<std::size_t>(r);
+      EXPECT_EQ(sums[me], 3u * 999u * 1000u / 2u)
+          << "rank " << r << " threads " << threads;
+      EXPECT_TRUE(la::bit_equal(c[me].view(), c_ref.view()))
+          << "rank " << r << " threads " << threads;
+    }
+  }
+  common::ThreadPool::set_global_threads(1);
+}
+
+// A chunk run by an idle worker loop executes on the loop's own stack, so
+// it must never block: Fiber::park from such a chunk is a checked error
+// that reaches the parallel_for caller (here rank 0, and through it
+// World::run). The chunk rank 0 runs itself (on its fiber) waits until the
+// helper's chunk has tried, so the helped chunk is certain to exist.
+TEST(ThreadPool, ParkFromAHelpedChunkIsRejected) {
+  common::ThreadPool::set_global_threads(2);
+  rcs::net::World world(2, instant_net());
+  std::atomic<bool> tried{false};
+  try {
+    world.run([&](rcs::net::Comm& comm) {
+      if (comm.rank() != 0) return;  // leaves its worker loop idle
+      common::parallel_for(0, 2, 1, [&](std::size_t, std::size_t) {
+        if (common::Fiber::current() != nullptr) {
+          await(tried);
+          return;
+        }
+        std::mutex mu;
+        std::unique_lock<std::mutex> lock(mu);
+        tried = true;
+        common::Fiber::park(lock);
+      });
+    });
+    ADD_FAILURE() << "expected the helped chunk's park to throw";
+  } catch (const rcs::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pool chunk"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(tried.load());
   common::ThreadPool::set_global_threads(1);
 }
 

@@ -841,15 +841,13 @@ TEST(MiniMpiFaults, CrashDuringBlockedRecvStress) {
   }
 }
 
-// p=256 smoke for the fiber rank scheduler (auto mode switches to fibers
-// above World::kAutoFiberThreshold ranks): ring send/recv, barrier, and
-// bcast_tree all complete in one process, then a second run on the same
-// world injects one fail-stop and every survivor observes it. The suite
-// TIMEOUT is the hang guard.
+// p=256 smoke for the fiber rank scheduler (the auto mode at every world
+// size): ring send/recv, barrier, and bcast_tree all complete in one
+// process, then a second run on the same world injects one fail-stop and
+// every survivor observes it. The suite TIMEOUT is the hang guard.
 TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
   constexpr int kP = 256;
   net::World world(kP, fast_net());
-  ASSERT_GT(kP, net::World::kAutoFiberThreshold);  // auto => fiber scheduler
 
   world.run([](net::Comm& comm) {
     const int p = comm.size();
